@@ -8,10 +8,13 @@ are reproducible and concurrent calls never contend.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+
+from .sieve import base_primes
 
 # Working integer width.  g at most doubles per step, so orbits of desk-scale
 # length fit comfortably; anything beyond is reported as truncation instead of
@@ -37,20 +40,10 @@ def _check_natural(n):
         raise ValueError(f"expected n >= 1, got {n}")
 
 
-_prime_list_cache = {}
-
-
+@functools.cache
 def _primes_below(bound):
-    primes = _prime_list_cache.get(bound)
-    if primes is None:
-        sieve = bytearray([1]) * (bound + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, math.isqrt(bound) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        primes = [i for i in range(2, bound + 1) if sieve[i]]
-        _prime_list_cache[bound] = primes
-    return primes
+    # Python ints: an int64 trial divisor overflows against a wide cofactor.
+    return base_primes(bound).tolist() if bound >= 2 else []
 
 
 # Strong-pseudoprime bases: deterministic for n < 3317044064679887385961981.

@@ -25,16 +25,22 @@ from .diophantine import SolutionKind
 from .sieve import DEFAULT_SEGMENT_SIZE, SegmentTooLargeError, SieveRangeError
 
 JOBS_ENV_VAR = "GPHI_JOBS"
+# Process pools fork all their workers at once, so the count is capped.
+MAX_JOBS = 256
 
 
-def _default_jobs():
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
+def resolve_jobs(jobs):
+    """Worker count from --jobs, else GPHI_JOBS, else 1; ValueError unless it
+    is an integer in [1, MAX_JOBS]."""
+    source = "--jobs" if jobs is not None else JOBS_ENV_VAR
+    raw = jobs if jobs is not None else os.environ.get(JOBS_ENV_VAR) or "1"
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if not 1 <= value <= MAX_JOBS:
+        raise ValueError(f"{source} must be an integer from 1 to {MAX_JOBS}, got {raw!r}")
+    return value
 
 
 def _relation_record(rel):
@@ -194,7 +200,7 @@ def build_parser():
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
     p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--progress", action="store_true", help="per-segment progress on stderr")
     p.set_defaults(handler=_cmd_search_exotic)
@@ -213,7 +219,7 @@ def build_parser():
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--kmax", type=int, default=orbits.DEFAULT_K_MAX)
     p.add_argument("--rmax", type=int, default=9)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", default=None)
     p.set_defaults(handler=_cmd_scan_orbits)
 
     p = sub.add_parser("families", parents=[common], help="members of the known solution families")
@@ -248,10 +254,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if hasattr(args, "jobs") and args.jobs is None:
-        args.jobs = _default_jobs()
     started = time.monotonic()
     try:
+        if hasattr(args, "jobs"):
+            args.jobs = resolve_jobs(args.jobs)
         records, code, notes = args.handler(args)
     except (diophantine.InternalInconsistencyError,) as exc:
         print(f"error: inconsistency: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ class InternalInconsistencyError(RuntimeError):
 
 
 class CheckpointMismatchError(ValueError):
-    """Checkpoint on disk belongs to a different search."""
+    """Checkpoint on disk belongs to a different search or fails validation."""
 
 
 def is_solution(n):
@@ -261,6 +261,7 @@ def exotic_prime_search(
             raise CheckpointMismatchError(
                 f"checkpoint is for {cp.search_id!r}, not {search_id!r}"
             )
+        _check_resume(cp, lo, hi, segment_size)
         start = cp.last_completed_hi
         hits = list(cp.hits)
     segments = [(a, min(a + segment_size, hi)) for a in range(start, hi, segment_size)]
@@ -275,6 +276,18 @@ def exotic_prime_search(
             results = map(_exotic_segment, segments)
             _collect_segments(segments, results, hits, search_id, checkpoint_path, progress)
     return [ExoticWitness(m, 8 * m + 7, 6 * m + 5) for m in hits]
+
+
+def _check_resume(cp, lo, hi, segment_size):
+    """Reject a checkpoint whose progress is not a segment end of [lo, hi),
+    or whose hits lie outside the finished range or fail the condition."""
+    done = cp.last_completed_hi
+    if not lo <= done <= hi or (done != hi and (done - lo) % segment_size):
+        raise CheckpointMismatchError(f"checkpoint progress {done} is not a segment end of [{lo}, {hi})")
+    for m in cp.hits:
+        p = 8 * m + 7
+        if not (lo <= p < done and is_prime(p) and euler_phi(6 * m + 5) == 4 * m + 4):
+            raise CheckpointMismatchError(f"checkpoint hit m={m} is not a hit in [{lo}, {done})")
 
 
 def _collect_segments(segments, results, hits, search_id, checkpoint_path, progress):
@@ -296,11 +309,13 @@ def relaxed_search(limit, segment_size=DEFAULT_SEGMENT_SIZE):
     """
     _check_natural(limit)
     found = []
+    twice_index = np.arange(0, 2 * min(segment_size, limit), 2, dtype=np.int64)
     for lo in range(2, limit + 1, segment_size):
         hi = min(lo + segment_size, limit + 1)
-        seg = sieve_segment(lo, hi, max_size=segment_size)
-        values = np.arange(lo, hi, dtype=np.int64)
-        found.extend(int(x) for x in values[3 * seg.phi == 2 * values + 2])
+        phi = sieve_segment(lo, hi, max_size=segment_size).phi
+        phi *= 3  # in place, no temporaries: 3*phi(lo + j) - 2*lo - 2 == 2*j
+        phi -= 2 * lo + 2
+        found.extend(lo + int(j) for j in np.flatnonzero(phi == twice_index[: hi - lo]))
     return found
 
 

@@ -1,5 +1,6 @@
-"""Segmented bulk sieves: smallest prime factors, totients, primes in
-arithmetic progressions, and line-based checkpoints for long searches.
+"""Segmented bulk sieves: totients along arithmetic progressions (a whole
+range is the modulus-1 case), primes in arithmetic progressions, and
+line-based checkpoints for long searches.
 
 Segments are independent work units; callers that parallelize must merge
 results in ascending range order so output stays deterministic.
@@ -15,9 +16,12 @@ import numpy as np
 
 DEFAULT_SEGMENT_SIZE = 1 << 22
 
-# int64 headroom: totient updates multiply by (p - 1) after dividing by p,
-# so values themselves are the only magnitude constraint.
+# int64 headroom: phi and the smooth-part accumulator acc of a value never
+# exceed the value, so the values themselves are the only magnitude constraint.
 MAX_SIEVE_VALUE = 1 << 62
+
+_BLOCK = 1 << 16  # totient_progression: phi and acc of a block (1 MiB) fit in L2
+_DENSE_BELOW = 1 << 8  # smaller prime powers hit every block 256 or more times
 
 
 class SieveRangeError(ValueError):
@@ -44,11 +48,10 @@ def base_primes(limit):
 
 @dataclass(frozen=True)
 class SieveSegment:
-    """Per-element smallest prime factor and totient over [lo, hi)."""
+    """Per-element totient over [lo, hi)."""
 
     lo: int
     hi: int
-    spf: np.ndarray
     phi: np.ndarray
 
 
@@ -64,38 +67,9 @@ def _check_range(lo, hi, max_size=None):
 
 
 def sieve_segment(lo, hi, max_size=DEFAULT_SEGMENT_SIZE):
-    """Exact spf and phi arrays for every integer in [lo, hi).
-
-    Totients are built by progressive division with base primes <= sqrt(hi);
-    whatever remains after that pass is a single prime factor > sqrt(hi).
-    """
+    """Exact phi array for every integer in [lo, hi)."""
     _check_range(lo, hi, max_size)
-    values = np.arange(lo, hi, dtype=np.int64)
-    phi = values.copy()
-    rem = values.copy()
-    spf = np.zeros(hi - lo, dtype=np.int64)
-    root = math.isqrt(hi - 1)
-    if root >= 2:
-        for p in base_primes(root).tolist():
-            first = ((lo + p - 1) // p) * p
-            if first >= hi:
-                continue
-            sl = slice(first - lo, None, p)
-            hit = spf[sl]
-            hit[hit == 0] = p
-            phi[sl] = phi[sl] // p * (p - 1)
-            pe = p
-            while pe < hi:
-                first_e = ((lo + pe - 1) // pe) * pe
-                if first_e >= hi:
-                    break
-                rem[first_e - lo :: pe] //= p
-                pe *= p
-    big = rem > 1
-    phi[big] = phi[big] // rem[big] * (rem[big] - 1)
-    lone = big & (spf == 0)
-    spf[lone] = values[lone]
-    return SieveSegment(lo, hi, spf, phi)
+    return SieveSegment(lo, hi, totient_progression(lo, hi, 0, 1)[1])
 
 
 def primes_in_class(lo, hi, residue, modulus):
@@ -123,6 +97,12 @@ def totient_progression(lo, hi, residue, modulus):
     Requires gcd(residue, modulus) = 1 so the progression avoids the primes
     dividing the modulus entirely; array index j holds phi(first + modulus*j).
     Returns (first, phi).
+
+    Bays & Hudson's progression sieve (BIT 1977) without division in the
+    loop: each prime power p^e multiplies phi by p - 1 or p and the smooth
+    part acc by p; v // acc is then 1 or v's one prime factor above sqrt(hi).
+    Small prime powers, which touch most cache lines, and the final division
+    run block by block in cache; larger ones sweep the whole range at once.
     """
     if modulus < 1 or math.gcd(residue, modulus) != 1:
         raise ValueError(f"residue {residue} not coprime to modulus {modulus}")
@@ -133,27 +113,30 @@ def totient_progression(lo, hi, residue, modulus):
         return first, np.empty(0, dtype=np.int64)
     count = (hi - first + modulus - 1) // modulus
     top = first + modulus * (count - 1)
-    values = first + modulus * np.arange(count, dtype=np.int64)
-    phi = values.copy()
-    rem = values.copy()
+    phi = np.ones(count, dtype=np.int64)
+    acc = np.ones(count, dtype=np.int64)
+    dense = []  # (p^e, first index it divides, phi factor, p), run per block
     root = math.isqrt(hi - 1)
-    if root >= 2:
-        for p in base_primes(root).tolist():
-            if modulus % p == 0:
-                continue
-            pe = p
-            while pe <= top:
-                j0 = (-first * pow(modulus, -1, pe)) % pe
-                if j0 >= count:
-                    break
-                if pe == p:
-                    phi[j0::p] = phi[j0::p] // p * (p - 1)
-                rem[j0::pe] //= p
-                pe *= p
-    big = rem > 1
-    phi[big] = phi[big] // rem[big] * (rem[big] - 1)
-    # phi(1) = 1 by the empty-product convention
-    phi[values == 1] = 1
+    # below 4 the prime 2 is surplus, and harmless: acc holds exact p-parts
+    for p in base_primes(max(root, 2)).tolist():
+        pe = p
+        while pe <= top and modulus % p:
+            j0 = (-first * pow(modulus, -1, pe)) % pe
+            if j0 >= count:
+                break
+            if pe < _DENSE_BELOW:
+                dense.append((pe, j0, p - 1 if pe == p else p, p))
+            else:
+                phi[j0::pe] *= p - 1 if pe == p else p
+                acc[j0::pe] *= p
+            pe *= p
+    for b0 in range(0, count, _BLOCK):
+        block_phi, block_acc = phi[b0 : b0 + _BLOCK], acc[b0 : b0 + _BLOCK]
+        for pe, j0, factor, p in dense:
+            block_phi[(j0 - b0) % pe :: pe] *= factor
+            block_acc[(j0 - b0) % pe :: pe] *= p
+        rem = (first + modulus * np.arange(b0, b0 + block_phi.size, dtype=np.int64)) // block_acc - 1
+        np.multiply(block_phi, rem, out=block_phi, where=rem > 0)
     return first, phi
 
 
@@ -166,8 +149,8 @@ class SearchCheckpoint:
     hits: tuple
 
     def __post_init__(self):
-        if list(self.hits) != sorted(self.hits):
-            raise ValueError("checkpoint hits must be ascending")
+        if any(b <= a for a, b in zip(self.hits, self.hits[1:])):
+            raise ValueError("checkpoint hits must be strictly ascending")
 
 
 def write_checkpoint(path, checkpoint):
@@ -178,6 +161,8 @@ def write_checkpoint(path, checkpoint):
         fh.write(f"completed {checkpoint.last_completed_hi}\n")
         for hit in checkpoint.hits:
             fh.write(f"{hit}\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 

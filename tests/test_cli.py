@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gphi.cli import main
+from gphi.cli import MAX_JOBS, main, resolve_jobs
 
 
 def run(capsys, *argv):
@@ -87,6 +87,17 @@ class TestSearchExotic:
         code, _, err = run(capsys, "search-exotic", "--from", "50", "--to", "10")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_tampered_checkpoint_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cp.txt"
+        path.write_text("search_id exotic:2:1000:64\ncompleted 5000\n0\n5\n999999\n")
+        code, out, err = run(
+            capsys, "search-exotic", "--from", "2", "--to", "1000", "--segment-size", "64",
+            "--checkpoint", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestSearchRelaxed:
@@ -195,3 +206,37 @@ class TestInterface:
         _, summary = json_records(out)
         assert code == 0
         assert summary["parameters"]["jobs"] == 2
+
+
+class TestJobs:
+    def test_flag_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv("GPHI_JOBS", "3")
+        assert resolve_jobs("5") == 5
+        assert resolve_jobs(None) == 3
+
+    def test_default_is_one(self, monkeypatch):
+        monkeypatch.delenv("GPHI_JOBS", raising=False)
+        assert resolve_jobs(None) == 1
+        monkeypatch.setenv("GPHI_JOBS", "")
+        assert resolve_jobs(None) == 1
+
+    def test_cap_is_accepted(self):
+        assert resolve_jobs(str(MAX_JOBS)) == MAX_JOBS
+
+    @pytest.mark.parametrize("raw", ["0", "-3", str(MAX_JOBS + 1), "abc", "2.5"])
+    def test_rejects_bad_flag(self, raw):
+        with pytest.raises(ValueError, match="--jobs"):
+            resolve_jobs(raw)
+
+    @pytest.mark.parametrize("raw", ["0", "abc", str(MAX_JOBS + 1)])
+    def test_rejects_bad_env(self, monkeypatch, raw):
+        monkeypatch.setenv("GPHI_JOBS", raw)
+        with pytest.raises(ValueError, match="GPHI_JOBS"):
+            resolve_jobs(None)
+
+    # Validation happens before any pool starts, so "0" here starts nothing.
+    def test_bad_count_exits_2(self, capsys):
+        code, out, err = run(capsys, "scan-orbits", "--limit", "10", "--jobs", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --jobs") and err.count("\n") == 1

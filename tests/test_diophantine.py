@@ -14,6 +14,7 @@ from gphi.diophantine import (
     relaxed_search,
     theorem_mismatches,
 )
+from gphi.sieve import SearchCheckpoint, read_checkpoint, write_checkpoint
 
 SOLUTIONS_BELOW_100 = [4, 6, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64, 70, 80, 94, 96]
 
@@ -147,6 +148,32 @@ class TestExoticSearch:
         exotic_prime_search(2, 1000, checkpoint_path=path)
         with pytest.raises(CheckpointMismatchError):
             exotic_prime_search(2, 2000, checkpoint_path=path)
+
+    @pytest.mark.parametrize(
+        "completed, hits",
+        [
+            (2 + 40 * 64, (0, 5)),  # beyond the search's end
+            (2 - 64, ()),  # before its start
+            (2 + 64 + 1, (0,)),  # off the segment grid
+            (2, (0,)),  # a true hit, but outside the finished range
+            (2 + 3 * 64, (0, 5, 999999)),  # hit beyond the finished range
+            (2 + 3 * 64, (0, 1, 5)),  # p = 15 is not prime
+            (2 + 3 * 64, (0, 2, 5)),  # p = 23 is prime, but phi(17) != 12
+            (2 + 27 * 64, (0, 5, 215)),  # phi(1295) = 864, but p = 1727 = 11 * 157
+        ],
+    )
+    def test_tampered_checkpoint_is_rejected(self, tmp_path, completed, hits):
+        path = tmp_path / "tampered.ckpt"
+        write_checkpoint(path, SearchCheckpoint("exotic:2:2000:64", completed, hits))
+        with pytest.raises(CheckpointMismatchError):
+            exotic_prime_search(2, 2000, segment_size=64, checkpoint_path=path)
+
+    def test_finished_checkpoint_resumes_to_same_hits(self, tmp_path):
+        # 2000 is off the 64-grid from 2: the last segment is a short one
+        path = tmp_path / "done.ckpt"
+        first = exotic_prime_search(2, 2000, segment_size=64, checkpoint_path=path)
+        assert read_checkpoint(path).last_completed_hi == 2000
+        assert exotic_prime_search(2, 2000, segment_size=64, checkpoint_path=path) == first
 
     def test_bad_range(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
-from gphi.arith import euler_phi
+from gphi.arith import _primes_below, euler_phi
 from gphi.sieve import (
+    _BLOCK,
     SearchCheckpoint,
     SegmentTooLargeError,
     SieveRangeError,
@@ -36,13 +38,18 @@ class TestBasePrimes:
         with pytest.raises(SieveRangeError):
             base_primes(1)
 
+    def test_is_the_trial_division_source(self):
+        primes = _primes_below(1000)
+        assert primes == base_primes(1000).tolist()
+        # int64 trial divisors would overflow against wide cofactors
+        assert all(type(p) is int for p in primes)
+
 
 class TestSieveSegment:
     def test_2_to_8(self):
         seg = sieve_segment(2, 8)
         assert seg.phi.tolist() == [phi_by_gcd_count(n) for n in range(2, 8)]
         assert seg.phi.tolist() == [1, 2, 2, 4, 2, 6]
-        assert seg.spf.tolist() == [2, 3, 2, 5, 2, 7]
 
     def test_10_to_12(self):
         assert sieve_segment(10, 12).phi.tolist() == [4, 10]
@@ -51,13 +58,6 @@ class TestSieveSegment:
         lo = 1 << 20
         seg = sieve_segment(lo, lo + 4)
         assert seg.phi.tolist() == [euler_phi(n) for n in range(lo, lo + 4)]
-
-    def test_spf_divides_and_is_least(self):
-        seg = sieve_segment(1000, 1100)
-        for i, n in enumerate(range(1000, 1100)):
-            p = int(seg.spf[i])
-            assert n % p == 0
-            assert all(n % d for d in range(2, p))
 
     def test_random_agreement_with_euler_phi(self):
         rng = random.Random(20240817)
@@ -71,7 +71,12 @@ class TestSieveSegment:
         left = sieve_segment(a, b)
         right = sieve_segment(b, c)
         assert np.array_equal(np.concatenate([left.phi, right.phi]), whole.phi)
-        assert np.array_equal(np.concatenate([left.spf, right.spf]), whole.spf)
+
+    def test_is_the_modulus_one_progression(self):
+        lo, hi = 10 ** 9, 10 ** 9 + 5000
+        first, phi = totient_progression(lo, hi, 0, 1)
+        assert first == lo
+        assert np.array_equal(sieve_segment(lo, hi).phi, phi)
 
     def test_range_underflow(self):
         with pytest.raises(SieveRangeError):
@@ -112,6 +117,37 @@ class TestTotientProgression:
         first, phi = totient_progression(125, 126, 5, 6)
         assert int(phi[0]) == 100
 
+    # Windows hold the value 1, prime powers (125, 2^k, 3^k), values whose
+    # largest prime factor exceeds sqrt(hi), and values above 10^12.
+    @pytest.mark.parametrize("modulus", [1, 2, 6, 8, 30])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1, 400), ((1 << 20) - 40, (1 << 20) + 40), (3 ** 13 - 40, 3 ** 13 + 40), (10 ** 12, 10 ** 12 + 60)],
+    )
+    def test_matches_scalar_phi_in_every_class(self, lo, hi, modulus):
+        for residue in range(modulus):
+            if math.gcd(residue, modulus) != 1:
+                continue
+            first, phi = totient_progression(lo, hi, residue, modulus)
+            values = range(first, hi, modulus)
+            assert phi.tolist() == [euler_phi(v) for v in values], (residue, modulus)
+
+    # A window of several cache blocks must equal single-block windows joined,
+    # and match scalar phi on both sides of every block edge.
+    @pytest.mark.parametrize("lo, residue, modulus", [(1, 0, 1), (10 ** 9 + 1, 5, 6)])
+    def test_block_edges(self, lo, residue, modulus):
+        count = 3 * _BLOCK + 77
+        hi = lo + modulus * count
+        first, phi = totient_progression(lo, hi, residue, modulus)
+        assert phi.size == count
+        piece = modulus * (_BLOCK // 3)
+        joined = [totient_progression(a, min(a + piece, hi), residue, modulus)[1]
+                  for a in range(first, hi, piece)]
+        assert np.array_equal(np.concatenate(joined), phi)
+        edges = [b + d for b in range(0, count, _BLOCK) for d in (-1, 0, 1)]
+        for j in [j for j in edges if 0 <= j < count] + [count - 1]:
+            assert int(phi[j]) == euler_phi(first + modulus * j), j
+
     def test_requires_coprime_class(self):
         with pytest.raises(ValueError):
             totient_progression(2, 100, 3, 6)
@@ -134,9 +170,21 @@ class TestCheckpoint:
         write_checkpoint(path, SearchCheckpoint("exotic:2:100:64", 66, (0, 5)))
         assert path.read_text() == "search_id exotic:2:100:64\ncompleted 66\n0\n5\n"
 
+    def test_fsync_before_rename(self, tmp_path, monkeypatch):
+        events = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: events.append("fsync") or fsync(fd))
+        monkeypatch.setattr(os, "replace", lambda a, b: events.append("replace") or replace(a, b))
+        write_checkpoint(tmp_path / "search.ckpt", SearchCheckpoint("x", 10, ()))
+        assert events == ["fsync", "replace"]
+
     def test_rejects_unsorted_hits(self):
         with pytest.raises(ValueError):
             SearchCheckpoint("x", 10, (5, 0))
+
+    def test_rejects_duplicate_hits(self):
+        with pytest.raises(ValueError):
+            SearchCheckpoint("x", 10, (5, 5))
 
     def test_rejects_malformed_file(self, tmp_path):
         path = tmp_path / "bad.ckpt"
