@@ -22,11 +22,7 @@ from .sieve import base_primes
 NATURAL_BITS = 192
 NATURAL_MAX = (1 << NATURAL_BITS) - 1
 
-TRIAL_DIVISION_BOUND = 10 ** 6
-
-# Trial-divide cheap primes first, then primality-check the cofactor so a
-# large prime remainder skips the rest of the trial range.
-_CHEAP_PRIME_LIMIT = 1000
+TRIAL_DIVISION_BOUND = 1000
 
 
 class NaturalOverflowError(OverflowError):
@@ -46,9 +42,24 @@ def _primes_below(bound):
     return base_primes(bound).tolist() if bound >= 2 else []
 
 
-# Strong-pseudoprime bases: deterministic for n < 3317044064679887385961981.
+# Strong-pseudoprime bases, and pairs (psi_k, k): psi_k is the least strong
+# pseudoprime to the first k bases, so those k alone decide every n < psi_k.
+# Jaeschke, "On strong pseudoprimes to several bases", Math. Comp. 1993
+# (k <= 8); Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017 (k <= 13).  psi_7 = psi_8 and psi_9 = psi_10 = psi_11.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
+_MR_BASE_COUNTS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
 
 
 def is_prime(n):
@@ -61,8 +72,11 @@ def is_prime(n):
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    bases = _MR_BASES
-    if n >= _MR_DETERMINISTIC_LIMIT:
+    for psi, k in _MR_BASE_COUNTS:
+        if n < psi:
+            bases = _MR_BASES[:k]
+            break
+    else:
         rng = random.Random(n)
         bases = _MR_BASES + tuple(rng.randrange(2, n - 1) for _ in range(16))
     for a in bases:
@@ -133,22 +147,6 @@ class Factorization:
         return out
 
 
-def _strip_primes(cof, primes, start, limit, found):
-    i = start
-    while i < len(primes):
-        p = primes[i]
-        if p > limit or p * p > cof:
-            break
-        if cof % p == 0:
-            e = 0
-            while cof % p == 0:
-                cof //= p
-                e += 1
-            found[p] = e
-        i += 1
-    return cof, i
-
-
 def _split_composite(m, found, rng):
     if is_prime(m):
         found[m] = found.get(m, 0) + 1
@@ -160,23 +158,21 @@ def _split_composite(m, found, rng):
 
 def factorize(n, trial_bound=TRIAL_DIVISION_BOUND):
     """Exact prime factorization: trial division by sieved primes up to
-    trial_bound, then Brent's rho on whatever composite cofactor remains."""
+    trial_bound, then a primality test and Brent's rho on the cofactor."""
     _check_natural(n)
-    if n == 1:
-        return Factorization(())
     found = {}
-    primes = _primes_below(trial_bound)
-    cof, i = _strip_primes(n, primes, 0, _CHEAP_PRIME_LIMIT, found)
-    if cof > 1 and not is_prime(cof):
-        cof, i = _strip_primes(cof, primes, i, trial_bound, found)
-        if cof > 1:
-            if is_prime(cof):
-                found[cof] = found.get(cof, 0) + 1
-            else:
-                _split_composite(cof, found, random.Random(cof))
-            cof = 1
+    cof = n
+    for p in _primes_below(trial_bound):
+        if p * p > cof:
+            break
+        if cof % p == 0:
+            e = 0
+            while cof % p == 0:
+                cof //= p
+                e += 1
+            found[p] = e
     if cof > 1:
-        found[cof] = found.get(cof, 0) + 1
+        _split_composite(cof, found, random.Random(cof))
     return Factorization(tuple(sorted(found.items())))
 
 
@@ -209,23 +205,30 @@ class Orbit:
         return len(self.values) - 1
 
 
-def iterate_g(n, k_max):
+def iterate_g(n, k_max, successors=None):
     """Iterate g from n for up to k_max steps.
 
     Overflow is not an error: the orbit is truncated at the last value that
-    fits the working width and the result is flagged accordingly.
+    fits the working width and the result is flagged accordingly.  A dict
+    passed as successors maps v to g(v): steps found there are not
+    recomputed, and every step computed that fits is added to it.
     """
     _check_natural(n)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    if successors is None:
+        successors = {}
     values = [n]
     truncated = False
     for _ in range(k_max):
-        try:
-            values.append(g(values[-1]))
-        except NaturalOverflowError:
-            truncated = True
-            break
+        v = values[-1]
+        if v not in successors:
+            try:
+                successors[v] = g(v)
+            except NaturalOverflowError:
+                truncated = True
+                break
+        values.append(successors[v])
     return Orbit(tuple(values), truncated)
 
 

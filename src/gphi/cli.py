@@ -21,12 +21,10 @@ import sys
 import time
 
 from . import arith, diophantine, orbits
-from .diophantine import SolutionKind
+from .diophantine import MAX_JOBS, SolutionKind
 from .sieve import DEFAULT_SEGMENT_SIZE, SegmentTooLargeError, SieveRangeError
 
 JOBS_ENV_VAR = "GPHI_JOBS"
-# Process pools fork all their workers at once, so the count is capped.
-MAX_JOBS = 256
 
 
 def resolve_jobs(jobs):
@@ -131,11 +129,8 @@ def _cmd_orbit(args):
 
 
 def _cmd_scan_orbits(args):
-    records = [
-        _relation_record(rel)
-        for rel in orbits.scan_orbits(args.limit, args.kmax, args.rmax, jobs=args.jobs)
-    ]
-    return records, 0, []
+    relations = orbits.scan_orbits(args.limit, args.kmax, args.rmax)
+    return [_relation_record(rel) for rel in relations], 0, []
 
 
 def _cmd_families(args):
@@ -219,7 +214,7 @@ def build_parser():
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--kmax", type=int, default=orbits.DEFAULT_K_MAX)
     p.add_argument("--rmax", type=int, default=9)
-    p.add_argument("--jobs", default=None)
+    p.add_argument("--jobs", default=None, help="validated and echoed; the scan runs in one process")
     p.set_defaults(handler=_cmd_scan_orbits)
 
     p = sub.add_parser("families", parents=[common], help="members of the known solution families")

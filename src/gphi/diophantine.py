@@ -21,12 +21,22 @@ from .arith import _check_natural, euler_phi, factorize, is_prime, v2
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     SearchCheckpoint,
+    SegmentTooLargeError,
     primes_in_class,
     read_checkpoint,
     sieve_segment,
     totient_progression,
     write_checkpoint,
 )
+
+
+# exotic_prime_search's pool forks all its workers at once: the count is capped.
+MAX_JOBS = 256
+
+# Widest exotic segment.  At its peak a segment holds about 2.5 bytes per
+# value of width (the prime flags, phi and acc of the one-in-eight
+# companions, and the prime arrays), so one segment's arrays stay near 1 GiB.
+MAX_EXOTIC_SEGMENT = 400_000_000
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -252,6 +262,12 @@ def exotic_prime_search(
         raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi})")
     if segment_size < 8:
         raise ValueError("segment_size too small")
+    if min(segment_size, hi - lo) > MAX_EXOTIC_SEGMENT:
+        raise SegmentTooLargeError(
+            f"segment size {segment_size} exceeds {MAX_EXOTIC_SEGMENT} on [{lo}, {hi})"
+        )
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be an integer from 1 to {MAX_JOBS}, got {jobs!r}")
     search_id = f"exotic:{lo}:{hi}:{segment_size}"
     start = lo
     hits = []
@@ -268,7 +284,7 @@ def exotic_prime_search(
     if max_segments is not None:
         segments = segments[:max_segments]
     if segments:
-        if jobs and jobs > 1:
+        if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = pool.map(_exotic_segment, segments)
                 _collect_segments(segments, results, hits, search_id, checkpoint_path, progress)

@@ -6,7 +6,6 @@ equation phi(m) + phi(m + phi(m)) = m.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,17 +40,18 @@ def _is_power_of_two(x):
     return x >= 1 and x & (x - 1) == 0
 
 
-def detect_relations(n, k_max=DEFAULT_K_MAX, r_max=25):
+def detect_relations(n, k_max=DEFAULT_K_MAX, r_max=25, successors=None):
     """Detect every shift r <= r_max whose ratio g_{k+r}/g_k is a fixed
     integer >= 2 from some minimal k0 through the end of the computed orbit.
 
     When a shift is a multiple of a smaller detected shift with the matching
     multiplier power, both are reported and the larger carries related_r.
+    successors is passed on to iterate_g.
     """
     _check_natural(n)
     if not 1 <= r_max <= k_max:
         raise ValueError(f"need k_max >= r_max >= 1, got k_max={k_max} r_max={r_max}")
-    values = iterate_g(n, k_max).values
+    values = iterate_g(n, k_max, successors=successors).values
     top = len(values) - 1
     relations = []
     by_r = {}
@@ -147,24 +147,14 @@ def reduce_to_diophantine(n, k_max):
     return None
 
 
-def _detect_worker(args):
-    n, k_max, r_max = args
-    return detect_relations(n, k_max, r_max)
-
-
-def scan_orbits(limit, k_max=DEFAULT_K_MAX, r_max=9, jobs=None):
+def scan_orbits(limit, k_max=DEFAULT_K_MAX, r_max=9):
     """detect_relations over every n <= limit, streamed in ascending n.
 
-    Worker processes handle chunks of n; output order is independent of
-    scheduling because results are yielded in submission order.
+    Orbits of different n merge, so one successor map, kept for this call
+    only, lets each value be factored once.
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
-    tasks = ((n, k_max, r_max) for n in range(2, limit + 1))
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for relations in pool.map(_detect_worker, tasks, chunksize=64):
-                yield from relations
-    else:
-        for task in tasks:
-            yield from _detect_worker(task)
+    successors = {}
+    for n in range(2, limit + 1):
+        yield from detect_relations(n, k_max, r_max, successors=successors)

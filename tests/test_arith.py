@@ -1,6 +1,8 @@
 import math
+import random
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from gphi.arith import (
@@ -194,3 +196,67 @@ class TestIsPrime:
     def test_large(self):
         assert is_prime(2 ** 89 - 1)
         assert not is_prime((2 ** 89 - 1) * 3)
+
+
+# The least strong pseudoprime to the first k prime bases, for each k where
+# is_prime changes how many bases it uses, and the k = 13 one past them all.
+STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def sympy_products(seed, count):
+    """Seeded 100-192-bit products of random 20-64-bit primes drawn by
+    sympy.  At most one factor exceeds 28 bits, so rho (gphi's and sympy's)
+    only ever has to split off factors below 2^28."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        target = rng.randint(100, 192)
+        primes = [sympy.nextprime(rng.randrange(1 << 39, 1 << 64))]
+        while math.prod(primes).bit_length() < target:
+            if len(primes) > 1 and rng.random() < 0.1:
+                primes.append(rng.choice(primes[1:]))
+            else:
+                bits = rng.randint(20, 28)
+                primes.append(sympy.nextprime(rng.randrange(1 << (bits - 1), 1 << bits)))
+        n = math.prod(primes)
+        if 100 <= n.bit_length() <= 192:
+            out.append(n)
+    return out
+
+
+class TestSympyOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_products(self, seed):
+        for n in sympy_products(seed, 4):
+            assert dict(factorize(n).factors) == sympy.factorint(n), n
+            assert euler_phi(n) == sympy.totient(n), n
+            assert not is_prime(n)
+            for p in sympy.factorint(n):
+                assert is_prime(p), p
+
+    def test_strong_pseudoprimes_are_composite(self):
+        for n in STRONG_PSEUDOPRIMES:
+            assert not sympy.isprime(n)
+            assert not is_prime(n), n
+
+    def test_windows_around_thresholds(self):
+        for psi in STRONG_PSEUDOPRIMES:
+            for n in range(max(psi - 3000, 0), psi + 3001):
+                assert is_prime(n) == sympy.isprime(n), n
+
+    def test_random_odd_values(self):
+        rng = random.Random(7)
+        for _ in range(3000):
+            n = rng.getrandbits(rng.randint(12, 192)) | 1
+            assert is_prime(n) == sympy.isprime(n), n

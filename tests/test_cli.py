@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gphi import diophantine
 from gphi.cli import MAX_JOBS, main, resolve_jobs
 
 
@@ -88,6 +89,16 @@ class TestSearchExotic:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_oversized_segment_is_usage_error(self, capsys, monkeypatch):
+        # a small cap, so a broken check would run a tiny search, not a huge one
+        monkeypatch.setattr(diophantine, "MAX_EXOTIC_SEGMENT", 100)
+        code, out, err = run(
+            capsys, "search-exotic", "--from", "2", "--to", "1000", "--segment-size", "500"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_tampered_checkpoint_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "cp.txt"
         path.write_text("search_id exotic:2:1000:64\ncompleted 5000\n0\n5\n999999\n")
@@ -136,6 +147,15 @@ class TestScanOrbits:
         assert code == 0
         hits = {r["n"] for r in records if r["r"] == 9 and r["multiplier"] == 9}
         assert {130, 170, 234, 260, 266} <= hits
+
+    def test_jobs_is_echoed_but_changes_nothing(self, capsys):
+        _, out1, _ = run(capsys, "scan-orbits", "--limit", "60", "--jobs", "1")
+        _, out3, _ = run(capsys, "scan-orbits", "--limit", "60", "--jobs", "3")
+        records1, summary1 = strip_timing(out1)
+        records3, summary3 = strip_timing(out3)
+        assert records1 == records3
+        assert (summary1["parameters"].pop("jobs"), summary3["parameters"].pop("jobs")) == (1, 3)
+        assert summary1 == summary3
 
 
 class TestFamilies:

@@ -2,6 +2,8 @@ import pytest
 
 from gphi.arith import euler_phi, is_prime, odd_part, v2
 from gphi.diophantine import (
+    MAX_EXOTIC_SEGMENT,
+    MAX_JOBS,
     CheckpointMismatchError,
     SolutionKind,
     TraceCase,
@@ -14,7 +16,7 @@ from gphi.diophantine import (
     relaxed_search,
     theorem_mismatches,
 )
-from gphi.sieve import SearchCheckpoint, read_checkpoint, write_checkpoint
+from gphi.sieve import SearchCheckpoint, SegmentTooLargeError, read_checkpoint, write_checkpoint
 
 SOLUTIONS_BELOW_100 = [4, 6, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64, 70, 80, 94, 96]
 
@@ -178,6 +180,21 @@ class TestExoticSearch:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             exotic_prime_search(10, 10)
+
+    # Checked before any pool starts, so MAX_JOBS + 1 starts nothing.
+    @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, "2", True, None])
+    def test_rejects_bad_worker_count(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            exotic_prime_search(2, 100, jobs=jobs)
+
+    # max_segments=0: no segment is sieved even if the width check fails.
+    def test_rejects_oversized_segment(self):
+        with pytest.raises(SegmentTooLargeError):
+            exotic_prime_search(2, 10 ** 12, segment_size=MAX_EXOTIC_SEGMENT + 1, max_segments=0)
+        assert exotic_prime_search(2, 10 ** 12, segment_size=MAX_EXOTIC_SEGMENT, max_segments=0) == []
+
+    def test_huge_segment_size_over_small_range(self):
+        assert [w.m for w in exotic_prime_search(2, 100, segment_size=10 ** 15)] == [0, 5]
 
 
 class TestRelaxedSearch:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gphi.arith
 from gphi.arith import NaturalOverflowError, euler_phi, g, iterate_g
 from gphi.diophantine import is_solution
 from gphi.orbits import (
@@ -126,7 +127,7 @@ class TestScanOrbits:
     def test_r14_examples(self):
         found = {
             rel.n
-            for rel in scan_orbits(7000, 40, 14, jobs=4)
+            for rel in scan_orbits(7000, 40, 14)
             if rel.r == 14 and rel.multiplier == 729
         }
         assert {3393, 6175, 6969} <= found
@@ -134,17 +135,53 @@ class TestScanOrbits:
     def test_r25_example(self):
         found = {
             rel.n
-            for rel in scan_orbits(1800, 64, 25, jobs=4)
+            for rel in scan_orbits(1800, 64, 25)
             if rel.r == 25 and rel.multiplier == 729
         }
         assert 1570 in found
 
-    def test_ascending_and_jobs_invariant(self):
-        serial = list(scan_orbits(120, 40, 9))
-        parallel = list(scan_orbits(120, 40, 9, jobs=3))
-        assert serial == parallel
-        ns = [rel.n for rel in serial]
+    def test_ascending_and_equal_to_fresh_detection(self):
+        scanned = list(scan_orbits(300, 64, 25))
+        fresh = [rel for n in range(2, 301) for rel in detect_relations(n, 64, 25)]
+        assert scanned == fresh
+        ns = [rel.n for rel in scanned]
         assert ns == sorted(ns)
+
+    def test_successor_map_lives_for_one_call(self, monkeypatch):
+        stepped = {v for n in range(2, 61) for v in iterate_g(n, 40).values[:-1]}
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return euler_phi(n)
+
+        # g looks euler_phi up in its module on every call
+        monkeypatch.setattr(gphi.arith, "euler_phi", counted)
+        first = list(scan_orbits(60, 40, 9))
+        # each value the scan steps from is factored exactly once
+        assert sorted(calls) == sorted(stepped)
+        assert list(scan_orbits(60, 40, 9)) == first
+        assert len(calls) == 2 * len(stepped)
+
+
+class TestSuccessorMap:
+    def test_truncated_orbit_is_unchanged(self):
+        n = 3 << 188
+        plain = iterate_g(n, 10)
+        assert plain.truncated
+        successors = {}
+        shared = iterate_g(n, 10, successors=successors)
+        assert shared == plain
+        top = plain.values[-1]
+        assert top not in successors  # g(top) overflows and is never stored
+        assert successors == {v: w for v, w in zip(plain.values, plain.values[1:])}
+        assert iterate_g(n, 10, successors=successors) == plain
+
+    def test_shared_map_gives_the_same_relations(self):
+        successors = {}
+        for n in (10, 94, 385, 3114, 1 << 190):
+            rels = detect_relations(n, 64, 25, successors=successors)
+            assert rels == detect_relations(n, 64, 25)
 
 
 class TestFamilyOrbitShape:
