@@ -147,22 +147,41 @@ class Factorization:
         return out
 
 
-def _split_composite(m, found, rng):
+def _integer_root(m, k):
+    """floor(m ** (1/k)): isqrt for squares, else Newton's method from above."""
+    if k == 2:
+        return math.isqrt(m)
+    x = 1 << -(-m.bit_length() // k)
+    while (y := ((k - 1) * x + m // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
+def _split_composite(m, found, rng, mult=1):
+    """Add the prime factors of m ** mult to found; m has none up to
+    TRIAL_DIVISION_BOUND.  A perfect power r^k is split as r, since rho would
+    need about sqrt(r) steps on it; r > TRIAL_DIVISION_BOUND bounds the k."""
     if is_prime(m):
-        found[m] = found.get(m, 0) + 1
+        found[m] = found.get(m, 0) + mult
         return
+    k = 2
+    while TRIAL_DIVISION_BOUND ** k <= m:
+        r = _integer_root(m, k)
+        if r ** k == m:
+            return _split_composite(r, found, rng, mult * k)
+        k += 1
     d = _brent_rho(m, rng)
-    _split_composite(d, found, rng)
-    _split_composite(m // d, found, rng)
+    _split_composite(d, found, rng, mult)
+    _split_composite(m // d, found, rng, mult)
 
 
-def factorize(n, trial_bound=TRIAL_DIVISION_BOUND):
+def factorize(n):
     """Exact prime factorization: trial division by sieved primes up to
-    trial_bound, then a primality test and Brent's rho on the cofactor."""
+    TRIAL_DIVISION_BOUND, then _split_composite on the cofactor."""
     _check_natural(n)
     found = {}
     cof = n
-    for p in _primes_below(trial_bound):
+    for p in _primes_below(TRIAL_DIVISION_BOUND):
         if p * p > cof:
             break
         if cof % p == 0:

@@ -68,35 +68,23 @@ def _cmd_solutions(args):
             if cls.kind is not SolutionKind.NOT_SOLUTION:
                 records.append(_classify_record(n, cls))
     else:
-        brute = set(diophantine.brute_force_solutions(args.limit))
-        for n in range(1, args.limit + 1):
-            cls = diophantine.classify(n)
+        for n, brute, cls in diophantine.oracle_comparison(args.limit):
             classified = cls.kind is not SolutionKind.NOT_SOLUTION
-            if classified or n in brute:
-                rec = _classify_record(n, cls)
-                rec["brute"] = n in brute
-                rec["classified"] = classified
-                records.append(rec)
-                if classified != (n in brute):
-                    code = 1
+            records.append({**_classify_record(n, cls), "brute": brute, "classified": classified})
+        code = int(any(r["brute"] != r["classified"] for r in records))
     return records, code, []
 
 
 def _cmd_verify_theorem(args):
-    mismatches, n_solutions = diophantine.theorem_mismatches(args.limit)
-    records = []
-    for n in mismatches:
-        cls = diophantine.classify(n)
-        records.append(
-            {
-                "n": n,
-                "brute": diophantine.is_solution(n),
-                "classified": cls.kind is not SolutionKind.NOT_SOLUTION,
-                "kind": cls.kind.value,
-            }
-        )
-    notes = [f"solutions={n_solutions}", f"mismatches={len(mismatches)}"]
-    return records, (1 if mismatches else 0), notes
+    rows = list(diophantine.oracle_comparison(args.limit))
+    records = [
+        {"n": n, "brute": diophantine.is_solution(n), "classified": not brute, "kind": cls.kind.value}
+        for n, brute, cls in rows
+        if brute != (cls.kind is not SolutionKind.NOT_SOLUTION)
+    ]
+    n_solutions = sum(brute for _, brute, _ in rows)
+    notes = [f"solutions={n_solutions}", f"mismatches={len(records)}"]
+    return records, (1 if records else 0), notes
 
 
 def _cmd_search_exotic(args):
@@ -120,9 +108,10 @@ def _cmd_search_relaxed(args):
 
 
 def _cmd_orbit(args):
-    relations = orbits.detect_relations(args.n, args.kmax, args.rmax)
+    successors = {}
+    relations = orbits.detect_relations(args.n, args.kmax, args.rmax, successors=successors)
     notes = []
-    orbit = arith.iterate_g(args.n, args.kmax)
+    orbit = arith.iterate_g(args.n, args.kmax, successors=successors)
     if orbit.truncated:
         notes.append(f"orbit truncated at k={orbit.last_valid_k} (width limit)")
     return [_relation_record(rel) for rel in relations], 0, notes
@@ -134,23 +123,12 @@ def _cmd_scan_orbits(args):
 
 
 def _cmd_families(args):
-    if args.kind:
-        kinds = [SolutionKind(args.kind)]
-    else:
-        kinds = [
-            SolutionKind.POWER_OF_2,
-            SolutionKind.FAMILY_3,
-            SolutionKind.FAMILY_5,
-            SolutionKind.FAMILY_7,
-            SolutionKind.FAMILY_35,
-            SolutionKind.FAMILY_47,
-        ]
-    records = []
-    for kind in kinds:
-        members = diophantine.family_members(kind, args.max_exponent, m=args.m)
-        start = 2 if kind is SolutionKind.POWER_OF_2 else 1
-        for ell, n in enumerate(members, start=start):
-            records.append({"kind": kind.value, "ell": ell, "n": n})
+    kinds = [SolutionKind(args.kind)] if args.kind else diophantine.FAMILIES
+    records = [
+        {"kind": kind.value, "ell": arith.v2(n), "n": n}
+        for kind in kinds
+        for n in diophantine.family_members(kind, args.max_exponent, m=args.m)
+    ]
     return records, 0, []
 
 

@@ -92,13 +92,24 @@ class SolutionKind(Enum):
     EXOTIC_B = "exotic_b"
 
 
-_FAMILY_BY_ODD_PART = {
-    3: SolutionKind.FAMILY_3,
-    5: SolutionKind.FAMILY_5,
-    7: SolutionKind.FAMILY_7,
-    35: SolutionKind.FAMILY_35,
-    47: SolutionKind.FAMILY_47,
+# The named families, kind -> (odd part q, least ell): members q << ell, ell >= least.
+FAMILIES = {
+    SolutionKind.POWER_OF_2: (1, 2),
+    SolutionKind.FAMILY_3: (3, 1),
+    SolutionKind.FAMILY_5: (5, 1),
+    SolutionKind.FAMILY_7: (7, 1),
+    SolutionKind.FAMILY_35: (35, 1),
+    SolutionKind.FAMILY_47: (47, 1),
 }
+_FAMILY_BY_ODD_PART = {q: (kind, least) for kind, (q, least) in FAMILIES.items()}
+
+# The exotic shapes, kind -> (a, b): odd parts a*m + b with _is_exotic(m), ell >= 1.
+_EXOTIC_SHAPES = {SolutionKind.EXOTIC_A: (8, 7), SolutionKind.EXOTIC_B: (6, 5)}
+
+
+def _is_exotic(m):
+    """p = 8m+7 is prime and phi(6m+5) = 4m+4; _exotic_segment is the vectorized form."""
+    return is_prime(8 * m + 7) and euler_phi(6 * m + 5) == 4 * m + 4
 
 
 @dataclass(frozen=True)
@@ -123,21 +134,15 @@ def classify(n):
     q = n >> ell
     kind = SolutionKind.NOT_SOLUTION
     exotic_m = None
-    if ell >= 2 and q == 1:
-        kind = SolutionKind.POWER_OF_2
-    elif ell >= 1 and q in _FAMILY_BY_ODD_PART:
-        kind = _FAMILY_BY_ODD_PART[q]
-    elif ell >= 1 and q > 1:
-        if q % 8 == 7:
-            m = (q - 7) // 8
-            if is_prime(q) and euler_phi(6 * m + 5) == 4 * m + 4:
-                kind = SolutionKind.EXOTIC_A
-                exotic_m = m
-        if kind is SolutionKind.NOT_SOLUTION and q % 6 == 5:
-            m = (q - 5) // 6
-            if is_prime(8 * m + 7) and euler_phi(q) == 4 * m + 4:
-                kind = SolutionKind.EXOTIC_B
-                exotic_m = m
+    if q in _FAMILY_BY_ODD_PART:
+        family, least = _FAMILY_BY_ODD_PART[q]
+        if ell >= least:
+            kind = family
+    elif ell >= 1:
+        for shape, (a, b) in _EXOTIC_SHAPES.items():
+            if q % a == b and _is_exotic(q // a):
+                kind, exotic_m = shape, q // a
+                break
     if kind is SolutionKind.NOT_SOLUTION:
         return SolutionClass(kind, ell)
     if not is_solution(n):
@@ -147,17 +152,24 @@ def classify(n):
     return SolutionClass(kind, ell, exotic_m)
 
 
+def oracle_comparison(limit):
+    """Sweep [1, limit] with the brute-force oracle and the classifier, yielding
+    (n, brute verdict, classification) for every n either calls a solution."""
+    solutions = set(brute_force_solutions(limit))
+    for n in range(1, limit + 1):
+        cls = classify(n)
+        if n in solutions or cls.kind is not SolutionKind.NOT_SOLUTION:
+            yield n, n in solutions, cls
+
+
 def theorem_mismatches(limit):
     """Compare the brute-force oracle with the classifier over [1, limit].
 
     Returns (mismatched n values, solution count).
     """
-    solutions = set(brute_force_solutions(limit))
-    mismatches = []
-    for n in range(1, limit + 1):
-        if (classify(n).kind is not SolutionKind.NOT_SOLUTION) != (n in solutions):
-            mismatches.append(n)
-    return mismatches, len(solutions)
+    rows = list(oracle_comparison(limit))
+    mismatches = [n for n, brute, cls in rows if brute != (cls.kind is not SolutionKind.NOT_SOLUTION)]
+    return mismatches, sum(brute for _, brute, _ in rows)
 
 
 class TraceCase(Enum):
@@ -301,8 +313,7 @@ def _check_resume(cp, lo, hi, segment_size):
     if not lo <= done <= hi or (done != hi and (done - lo) % segment_size):
         raise CheckpointMismatchError(f"checkpoint progress {done} is not a segment end of [{lo}, {hi})")
     for m in cp.hits:
-        p = 8 * m + 7
-        if not (lo <= p < done and is_prime(p) and euler_phi(6 * m + 5) == 4 * m + 4):
+        if not (lo <= 8 * m + 7 < done and _is_exotic(m)):
             raise CheckpointMismatchError(f"checkpoint hit m={m} is not a hit in [{lo}, {done})")
 
 
@@ -317,7 +328,7 @@ def _collect_segments(segments, results, hits, search_id, checkpoint_path, progr
             progress(seg_lo, seg_hi, seg_hits)
 
 
-def relaxed_search(limit, segment_size=DEFAULT_SEGMENT_SIZE):
+def relaxed_search(limit):
     """All n <= limit with 3*phi(n) = 2n + 2 (the primality-free relaxation).
 
     Scans every n: hits are provably odd, but that is cheap to re-derive and
@@ -325,45 +336,33 @@ def relaxed_search(limit, segment_size=DEFAULT_SEGMENT_SIZE):
     """
     _check_natural(limit)
     found = []
-    twice_index = np.arange(0, 2 * min(segment_size, limit), 2, dtype=np.int64)
-    for lo in range(2, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
-        phi = sieve_segment(lo, hi, max_size=segment_size).phi
+    twice_index = np.arange(0, 2 * min(DEFAULT_SEGMENT_SIZE, limit), 2, dtype=np.int64)
+    for lo in range(2, limit + 1, DEFAULT_SEGMENT_SIZE):
+        hi = min(lo + DEFAULT_SEGMENT_SIZE, limit + 1)
+        phi = sieve_segment(lo, hi).phi
         phi *= 3  # in place, no temporaries: 3*phi(lo + j) - 2*lo - 2 == 2*j
         phi -= 2 * lo + 2
         found.extend(lo + int(j) for j in np.flatnonzero(phi == twice_index[: hi - lo]))
     return found
 
 
-_NAMED_ODD_PARTS = {
-    SolutionKind.POWER_OF_2: 1,
-    SolutionKind.FAMILY_3: 3,
-    SolutionKind.FAMILY_5: 5,
-    SolutionKind.FAMILY_7: 7,
-    SolutionKind.FAMILY_35: 35,
-    SolutionKind.FAMILY_47: 47,
-}
-
-
 def family_members(kind, ell_max, m=None):
-    """Members 2^ell * q of one solution family, each re-confirmed as a
-    solution (ell from 2 for powers of two, from 1 otherwise)."""
+    """Members 2^ell * q of one solution family, from its least ell up to
+    ell_max, each re-confirmed as a solution (so an exotic kind's m must
+    satisfy _is_exotic)."""
     if ell_max < 1:
         raise ValueError("ell_max must be positive")
-    if kind in _NAMED_ODD_PARTS:
-        q = _NAMED_ODD_PARTS[kind]
-        start = 2 if kind is SolutionKind.POWER_OF_2 else 1
-    elif kind in (SolutionKind.EXOTIC_A, SolutionKind.EXOTIC_B):
+    if kind in FAMILIES:
+        q, start = FAMILIES[kind]
+    elif kind in _EXOTIC_SHAPES:
         if m is None:
             raise ValueError("exotic families require the parameter m")
-        q = 8 * m + 7 if kind is SolutionKind.EXOTIC_A else 6 * m + 5
-        start = 1
+        a, b = _EXOTIC_SHAPES[kind]
+        q, start = a * m + b, 1
     else:
         raise ValueError(f"no family for kind {kind!r}")
-    members = []
-    for ell in range(start, ell_max + 1):
-        candidate = q << ell
+    members = [q << ell for ell in range(start, ell_max + 1)]
+    for candidate in members:
         if not is_solution(candidate):
             raise InternalInconsistencyError(f"{candidate} is not a solution")
-        members.append(candidate)
     return members

@@ -66,9 +66,9 @@ def _check_range(lo, hi, max_size=None):
         raise SegmentTooLargeError(f"segment [{lo}, {hi}) exceeds {max_size} elements")
 
 
-def sieve_segment(lo, hi, max_size=DEFAULT_SEGMENT_SIZE):
-    """Exact phi array for every integer in [lo, hi)."""
-    _check_range(lo, hi, max_size)
+def sieve_segment(lo, hi):
+    """Exact phi array for every integer in [lo, hi), at most DEFAULT_SEGMENT_SIZE."""
+    _check_range(lo, hi, DEFAULT_SEGMENT_SIZE)
     return SieveSegment(lo, hi, totient_progression(lo, hi, 0, 1)[1])
 
 

@@ -245,6 +245,18 @@ class TestSympyOracle:
             for p in sympy.factorint(n):
                 assert is_prime(p), p
 
+    def test_prime_powers(self):
+        # rho alone needs about sqrt(p) steps on a power of p.  Splitting pq
+        # in p^2 q^2 is still rho's job (about 1 s with a 40-bit q).
+        rng = random.Random(11)
+        primes = [sympy.nextprime(rng.randrange(1 << 39, 1 << 64)) for _ in range(3)]
+        q = sympy.nextprime(rng.randrange(1 << 39, 1 << 40))
+        cases = [3976087 * 16057360620716157689 ** 2, primes[0] ** 2 * q ** 2]
+        cases += [p ** e for p in primes for e in (2, 3)]
+        for n in cases:
+            assert dict(factorize(n).factors) == sympy.factorint(n), n
+        assert factorize(cases[0]).factors == ((3976087, 1), (16057360620716157689, 2))
+
     def test_strong_pseudoprimes_are_composite(self):
         for n in STRONG_PSEUDOPRIMES:
             assert not sympy.isprime(n)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from gphi import diophantine
+from gphi import arith, diophantine
 from gphi.cli import MAX_JOBS, main, resolve_jobs
+from gphi.diophantine import SolutionClass, SolutionKind
 
 
 def run(capsys, *argv):
@@ -16,6 +17,17 @@ def json_records(out):
     lines = [json.loads(line) for line in out.splitlines()]
     assert lines[-1]["record"] == "summary"
     return lines[:-1], lines[-1]
+
+
+@pytest.fixture
+def misclassify_70(monkeypatch):
+    """The classifier, broken to miss the solution 70."""
+    classify = diophantine.classify
+
+    def broken(n):
+        return SolutionClass(SolutionKind.NOT_SOLUTION, 1) if n == 70 else classify(n)
+
+    monkeypatch.setattr(diophantine, "classify", broken)
 
 
 def strip_timing(out):
@@ -40,6 +52,30 @@ class TestSolutions:
         assert all(r["brute"] and r["classified"] for r in records)
         assert {r["n"] for r in records if r["kind"] == "family_35"} == {70}
 
+    def test_records_to_100(self, capsys):
+        code, out, _ = run(capsys, "solutions", "--limit", "100")
+        shapes = [
+            (4, "power_of_2", 2), (6, "family_3", 1), (8, "power_of_2", 3), (10, "family_5", 1),
+            (12, "family_3", 2), (14, "family_7", 1), (16, "power_of_2", 4), (20, "family_5", 2),
+            (24, "family_3", 3), (28, "family_7", 2), (32, "power_of_2", 5), (40, "family_5", 3),
+            (48, "family_3", 4), (56, "family_7", 3), (64, "power_of_2", 6), (70, "family_35", 1),
+            (80, "family_5", 4), (94, "family_47", 1), (96, "family_3", 5),
+        ]
+        expected = [
+            json.dumps({"n": n, "kind": kind, "ell": ell, "exotic_m": None, "brute": True, "classified": True})
+            for n, kind, ell in shapes
+        ]
+        assert code == 0
+        assert out.splitlines()[:-1] == expected
+
+    def test_disagreement_exits_1(self, capsys, misclassify_70):
+        code, out, _ = run(capsys, "solutions", "--limit", "100")
+        records, summary = json_records(out)
+        assert code == summary["exit_code"] == 1
+        assert [r for r in records if not r["classified"]] == [
+            {"n": 70, "kind": "not_solution", "ell": 1, "exotic_m": None, "brute": True, "classified": False}
+        ]
+
     def test_classify_method(self, capsys):
         code, out, _ = run(capsys, "solutions", "--limit", "50", "--method", "classify")
         records, _ = json_records(out)
@@ -54,6 +90,13 @@ class TestVerifyTheorem:
         assert code == 0
         assert records == []
         assert "mismatches=0" in summary["truncations"]
+
+    def test_mismatch_exits_1(self, capsys, misclassify_70):
+        code, out, _ = run(capsys, "verify-theorem", "--limit", "100")
+        records, summary = json_records(out)
+        assert code == summary["exit_code"] == 1
+        assert records == [{"n": 70, "brute": True, "classified": False, "kind": "not_solution"}]
+        assert summary["truncations"] == ["solutions=19", "mismatches=1"]
 
 
 class TestSearchExotic:
@@ -128,6 +171,19 @@ class TestOrbit:
         assert rel["multiplier"] == 729
         assert rel["persistent"] == "verified_only"
 
+    def test_factors_each_value_once(self, capsys, monkeypatch):
+        calls = []
+        euler_phi = arith.euler_phi
+
+        def counted(n):
+            calls.append(n)
+            return euler_phi(n)
+
+        monkeypatch.setattr(arith, "euler_phi", counted)
+        code, _, _ = run(capsys, "orbit", "--n", "3114", "--rmax", "25")
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 64
+
     def test_truncation_note(self, capsys):
         code, out, _ = run(capsys, "orbit", "--n", str(1 << 191), "--kmax", "8", "--rmax", "2")
         _, summary = json_records(out)
@@ -163,12 +219,14 @@ class TestFamilies:
         code, out, _ = run(capsys, "families", "--max-exponent", "3")
         records, _ = json_records(out)
         assert code == 0
-        by_kind = {}
-        for r in records:
-            by_kind.setdefault(r["kind"], []).append(r["n"])
-        assert by_kind["power_of_2"] == [4, 8]
-        assert by_kind["family_5"] == [10, 20, 40]
-        assert by_kind["family_47"] == [94, 188, 376]
+        assert [(r["kind"], r["ell"], r["n"]) for r in records] == [
+            ("power_of_2", 2, 4), ("power_of_2", 3, 8),
+            ("family_3", 1, 6), ("family_3", 2, 12), ("family_3", 3, 24),
+            ("family_5", 1, 10), ("family_5", 2, 20), ("family_5", 3, 40),
+            ("family_7", 1, 14), ("family_7", 2, 28), ("family_7", 3, 56),
+            ("family_35", 1, 70), ("family_35", 2, 140), ("family_35", 3, 280),
+            ("family_47", 1, 94), ("family_47", 2, 188), ("family_47", 3, 376),
+        ]
 
     def test_exotic_kind_with_m(self, capsys):
         code, out, _ = run(capsys, "families", "--kind", "exotic_b", "--m", "5", "--max-exponent", "2")

@@ -1,10 +1,13 @@
 import pytest
 
+from gphi import diophantine
 from gphi.arith import euler_phi, is_prime, odd_part, v2
 from gphi.diophantine import (
     MAX_EXOTIC_SEGMENT,
     MAX_JOBS,
+    FAMILIES,
     CheckpointMismatchError,
+    InternalInconsistencyError,
     SolutionKind,
     TraceCase,
     brute_force_solutions,
@@ -67,6 +70,17 @@ class TestClassify:
         # so it matches the exotic shape too; the named tag wins.
         assert classify(94).kind is SolutionKind.FAMILY_47
         assert classify(10).kind is SolutionKind.FAMILY_5
+
+    @pytest.mark.parametrize("kind", list(FAMILIES))
+    def test_family_starts_at_its_least_ell(self, kind):
+        q, least = FAMILIES[kind]
+        assert classify(q << least).kind is kind
+        assert classify(q << (least - 1)).kind is SolutionKind.NOT_SOLUTION
+
+    def test_mismatch_of_either_side_is_reported(self, monkeypatch):
+        brute = diophantine.brute_force_solutions
+        monkeypatch.setattr(diophantine, "brute_force_solutions", lambda limit: [n for n in brute(limit) if n != 70])
+        assert theorem_mismatches(100) == ([70], 18)
 
     def test_equivalence_with_oracle_desk_scale(self):
         mismatches, count = theorem_mismatches(20000)
@@ -233,6 +247,12 @@ class TestFamilyMembers:
             family_members(SolutionKind.EXOTIC_A, 3)
         assert family_members(SolutionKind.EXOTIC_A, 3, m=5) == [94, 188, 376]
         assert family_members(SolutionKind.EXOTIC_B, 3, m=0) == [10, 20, 40]
+
+    def test_exotic_kinds_need_an_exotic_m(self):
+        with pytest.raises(ValueError):
+            family_members(SolutionKind.EXOTIC_B, 3, m=-1)
+        with pytest.raises(InternalInconsistencyError):
+            family_members(SolutionKind.EXOTIC_A, 3, m=1)  # 15 is not prime
 
     def test_not_solution_rejected(self):
         with pytest.raises(ValueError):
