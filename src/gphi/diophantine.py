@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,6 +23,7 @@ from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     SearchCheckpoint,
     SegmentTooLargeError,
+    SieveRangeError,
     primes_in_class,
     read_checkpoint,
     sieve_segment,
@@ -33,10 +35,14 @@ from .sieve import (
 # exotic_prime_search's pool forks all its workers at once: the count is capped.
 MAX_JOBS = 256
 
-# Widest exotic segment.  At its peak a segment holds about 2.5 bytes per
-# value of width (the prime flags, phi and acc of the one-in-eight
-# companions, and the prime arrays), so one segment's arrays stay near 1 GiB.
+# Widest exotic segment.  At its peak a segment holds about 2.4 bytes per
+# value of width, nearly all of it phi and acc of the one-in-eight companions
+# (the class's prime flags take 1/8 byte), so its arrays stay near 1 GiB.
 MAX_EXOTIC_SEGMENT = 400_000_000
+
+# Both searches triple values in int64 (3p - 1 in _exotic_segment, 3*phi(n)
+# in relaxed_search), so no value they sieve may exceed a third of its range.
+MAX_SEARCH_VALUE = (2**63 - 1) // 3
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -272,6 +278,8 @@ def exotic_prime_search(
     """
     if not 2 <= lo < hi:
         raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi})")
+    if hi > MAX_SEARCH_VALUE:
+        raise SieveRangeError(f"range end {hi} above the search maximum {MAX_SEARCH_VALUE}")
     if segment_size < 8:
         raise ValueError("segment_size too small")
     if min(segment_size, hi - lo) > MAX_EXOTIC_SEGMENT:
@@ -292,17 +300,15 @@ def exotic_prime_search(
         _check_resume(cp, lo, hi, segment_size)
         start = cp.last_completed_hi
         hits = list(cp.hits)
-    segments = [(a, min(a + segment_size, hi)) for a in range(start, hi, segment_size)]
-    if max_segments is not None:
-        segments = segments[:max_segments]
-    if segments:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = pool.map(_exotic_segment, segments)
-                _collect_segments(segments, results, hits, search_id, checkpoint_path, progress)
-        else:
-            results = map(_exotic_segment, segments)
-            _collect_segments(segments, results, hits, search_id, checkpoint_path, progress)
+    segments = [(a, min(a + segment_size, hi)) for a in range(start, hi, segment_size)[:max_segments]]
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(_exotic_segment, segments)
+        for (seg_lo, seg_hi), seg_hits in zip(segments, results):
+            hits.extend(seg_hits)
+            if checkpoint_path is not None:
+                write_checkpoint(checkpoint_path, SearchCheckpoint(search_id, seg_hi, tuple(hits)))
+            if progress is not None:
+                progress(seg_lo, seg_hi, seg_hits)
     return [ExoticWitness(m, 8 * m + 7, 6 * m + 5) for m in hits]
 
 
@@ -317,17 +323,6 @@ def _check_resume(cp, lo, hi, segment_size):
             raise CheckpointMismatchError(f"checkpoint hit m={m} is not a hit in [{lo}, {done})")
 
 
-def _collect_segments(segments, results, hits, search_id, checkpoint_path, progress):
-    for (seg_lo, seg_hi), seg_hits in zip(segments, results):
-        hits.extend(seg_hits)
-        if checkpoint_path is not None:
-            write_checkpoint(
-                checkpoint_path, SearchCheckpoint(search_id, seg_hi, tuple(hits))
-            )
-        if progress is not None:
-            progress(seg_lo, seg_hi, seg_hits)
-
-
 def relaxed_search(limit):
     """All n <= limit with 3*phi(n) = 2n + 2 (the primality-free relaxation).
 
@@ -335,6 +330,8 @@ def relaxed_search(limit):
     the evenness claim stays a tested property instead of an assumption.
     """
     _check_natural(limit)
+    if limit > MAX_SEARCH_VALUE:
+        raise SieveRangeError(f"limit {limit} above the search maximum {MAX_SEARCH_VALUE}")
     found = []
     twice_index = np.arange(0, 2 * min(DEFAULT_SEGMENT_SIZE, limit), 2, dtype=np.int64)
     for lo in range(2, limit + 1, DEFAULT_SEGMENT_SIZE):
@@ -357,6 +354,8 @@ def family_members(kind, ell_max, m=None):
     elif kind in _EXOTIC_SHAPES:
         if m is None:
             raise ValueError("exotic families require the parameter m")
+        if not _is_exotic(m):
+            raise ValueError(f"m={m} is not exotic: needs 8m+7 prime and phi(6m+5) = 4m+4")
         a, b = _EXOTIC_SHAPES[kind]
         q, start = a * m + b, 1
     else:

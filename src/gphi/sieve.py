@@ -38,12 +38,32 @@ def base_primes(limit):
         raise SieveRangeError(f"base_primes needs limit >= 2, got {limit}")
     if limit > MAX_SIEVE_VALUE:
         raise SieveRangeError(f"limit {limit} above supported maximum")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return _sieve_class(2, limit + 1, 0, 1)
+
+
+def _progression(lo, hi, residue, modulus):
+    """(first, count): the least v >= lo with v = residue (mod modulus), and the members in [lo, hi)."""
+    first = lo + (residue - lo) % modulus
+    return first, max(0, (hi - first + modulus - 1) // modulus)
+
+
+def _sieve_class(lo, hi, residue, modulus):
+    """Primes p = residue (mod modulus) in [lo, hi), lo >= 2, ascending, from one
+    flag per member of the class.  Each base prime p, itself from this sieve,
+    strikes its multiples in the class from the first at or above p^2: every
+    p-th member, or every member if p divides modulus and residue, or none if
+    p divides the modulus only."""
+    first, count = _progression(lo, hi, residue, modulus)
+    flags = np.ones(count, dtype=bool)
+    root = math.isqrt(first + modulus * (count - 1)) if count else 0
+    for p in _sieve_class(2, root + 1, 0, 1).tolist() if root >= 2 else ():
+        start = max(0, -((first - p * p) // modulus))  # first member >= p^2
+        if modulus % p:
+            start += (-(first + modulus * start) * pow(modulus, -1, p)) % p
+            flags[start::p] = False
+        elif residue % p == 0:
+            flags[start:] = False
+    return np.flatnonzero(flags) * modulus + first
 
 
 @dataclass(frozen=True)
@@ -77,18 +97,7 @@ def primes_in_class(lo, hi, residue, modulus):
     if modulus < 1 or not 0 <= residue < modulus:
         raise ValueError(f"invalid residue class {residue} mod {modulus}")
     _check_range(max(lo, 2), max(hi, 3))
-    lo = max(lo, 2)
-    if hi <= lo:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(hi - lo, dtype=bool)
-    root = math.isqrt(hi - 1)
-    if root >= 2:
-        for p in base_primes(root).tolist():
-            first = max(p * p, ((lo + p - 1) // p) * p)
-            if first < hi:
-                flags[first - lo :: p] = False
-    primes = lo + np.flatnonzero(flags)
-    return primes[primes % modulus == residue]
+    return _sieve_class(max(lo, 2), hi, residue, modulus)
 
 
 def totient_progression(lo, hi, residue, modulus):
@@ -108,10 +117,9 @@ def totient_progression(lo, hi, residue, modulus):
         raise ValueError(f"residue {residue} not coprime to modulus {modulus}")
     if lo < 1 or hi <= lo or hi > MAX_SIEVE_VALUE:
         raise SieveRangeError(f"bad progression range [{lo}, {hi})")
-    first = lo + (residue - lo) % modulus
-    if first >= hi:
+    first, count = _progression(lo, hi, residue, modulus)
+    if count == 0:
         return first, np.empty(0, dtype=np.int64)
-    count = (hi - first + modulus - 1) // modulus
     top = first + modulus * (count - 1)
     phi = np.ones(count, dtype=np.int64)
     acc = np.ones(count, dtype=np.int64)

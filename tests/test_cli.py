@@ -142,6 +142,18 @@ class TestSearchExotic:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # A broken guard would reach the (failing) segment sieve, not sieve near 10^18.
+    def test_range_end_that_wraps_int64_is_usage_error(self, capsys, monkeypatch):
+        def no_segment(bounds):
+            raise RuntimeError(f"sieved {bounds}")
+
+        monkeypatch.setattr(diophantine, "_exotic_segment", no_segment)
+        hi = diophantine.MAX_SEARCH_VALUE + 1
+        code, out, err = run(capsys, "search-exotic", "--from", str(hi - 1000), "--to", str(hi))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_tampered_checkpoint_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "cp.txt"
         path.write_text("search_id exotic:2:1000:64\ncompleted 5000\n0\n5\n999999\n")
@@ -233,6 +245,14 @@ class TestFamilies:
         records, _ = json_records(out)
         assert code == 0
         assert [r["n"] for r in records] == [70, 140]
+
+    # m = 1 is not exotic: 15 is not prime
+    @pytest.mark.parametrize("kind", ["exotic_a", "exotic_b"])
+    def test_non_exotic_m_is_parameter_error(self, capsys, kind):
+        code, out, err = run(capsys, "families", "--kind", kind, "--m", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestTrace:

@@ -1,13 +1,16 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 
-from gphi import diophantine
+from gphi import diophantine, sieve
 from gphi.arith import euler_phi, is_prime, odd_part, v2
 from gphi.diophantine import (
     MAX_EXOTIC_SEGMENT,
     MAX_JOBS,
+    MAX_SEARCH_VALUE,
     FAMILIES,
     CheckpointMismatchError,
-    InternalInconsistencyError,
     SolutionKind,
     TraceCase,
     brute_force_solutions,
@@ -19,7 +22,13 @@ from gphi.diophantine import (
     relaxed_search,
     theorem_mismatches,
 )
-from gphi.sieve import SearchCheckpoint, SegmentTooLargeError, read_checkpoint, write_checkpoint
+from gphi.sieve import (
+    SearchCheckpoint,
+    SegmentTooLargeError,
+    SieveRangeError,
+    read_checkpoint,
+    write_checkpoint,
+)
 
 SOLUTIONS_BELOW_100 = [4, 6, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64, 70, 80, 94, 96]
 
@@ -142,10 +151,43 @@ class TestExoticSearch:
             assert euler_phi(w.q) == 4 * w.m + 4
             assert euler_phi((3 * w.p - 1) // 4) == (w.p + 1) // 2
 
-    def test_deterministic_across_jobs(self):
-        serial = exotic_prime_search(2, 10 ** 6)
-        parallel = exotic_prime_search(2, 10 ** 6, jobs=4)
-        assert serial == parallel
+    # Many segments through the pool: the same hits, per-segment progress and
+    # final checkpoint bytes serially, in parallel, and resumed in parallel.
+    def test_deterministic_across_jobs(self, tmp_path):
+        events = {}
+
+        def search(name, jobs, max_segments=None):
+            return exotic_prime_search(2, 2 * 10 ** 6, segment_size=1 << 17, jobs=jobs,
+                                       checkpoint_path=tmp_path / name, max_segments=max_segments,
+                                       progress=lambda *e: events.setdefault(name, []).append(e))
+
+        serial = search("serial", 1)
+        parallel = search("parallel", 2)
+        search("resumed", 2, max_segments=5)
+        assert read_checkpoint(tmp_path / "resumed").last_completed_hi == 2 + 5 * (1 << 17)
+        resumed = search("resumed", 2)
+        assert [w.m for w in serial] == [0, 5]
+        assert serial == parallel == resumed
+        assert len(events["serial"]) == 16
+        assert events["serial"] == events["parallel"] == events["resumed"]
+        final = (tmp_path / "serial").read_bytes()
+        assert (tmp_path / "parallel").read_bytes() == (tmp_path / "resumed").read_bytes() == final
+
+    # The benchmark's traced run requires the same call counts for every
+    # exotic window; a sieve recursing through its public names would call
+    # them more often the higher the window.
+    def test_segment_calls_do_not_grow_with_height(self, monkeypatch):
+        calls = Counter()
+        for module, name in ((sieve, "base_primes"), (sieve, "primes_in_class"), (diophantine, "primes_in_class")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, f=original, n=name: calls.update([n]) or f(*a))
+        counts = []
+        for lo in (2, 9_900_000_000):
+            calls.clear()
+            diophantine._exotic_segment((lo, lo + (1 << 20)))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["primes_in_class"] == 1
 
     def test_checkpoint_resume_reproduces_hits(self, tmp_path):
         lo, hi, seg = 2, 3_000_000, 1 << 19
@@ -210,6 +252,15 @@ class TestExoticSearch:
     def test_huge_segment_size_over_small_range(self):
         assert [w.m for w in exotic_prime_search(2, 100, segment_size=10 ** 15)] == [0, 5]
 
+    # 3p - 1 must fit in int64.  max_segments=0: a broken guard returns at
+    # once instead of sieving near 10^18.
+    def test_rejects_values_that_wrap_int64(self):
+        assert 3 * MAX_SEARCH_VALUE <= np.iinfo(np.int64).max < 3 * (MAX_SEARCH_VALUE + 1)
+        lo = MAX_SEARCH_VALUE - (1 << 22)
+        with pytest.raises(SieveRangeError):
+            exotic_prime_search(lo, MAX_SEARCH_VALUE + 1, max_segments=0)
+        assert exotic_prime_search(lo, MAX_SEARCH_VALUE, max_segments=0) == []
+
 
 class TestRelaxedSearch:
     def test_small_limits(self):
@@ -218,6 +269,17 @@ class TestRelaxedSearch:
 
     def test_known_list(self):
         assert relaxed_search(2_000_000) == [5, 35, 1295, 1679615]
+
+    # 3*phi(n) must fit in int64; the guard must act before any sieving.
+    def test_rejects_values_that_wrap_int64(self, monkeypatch):
+        def no_sieve(lo, hi):
+            raise RuntimeError(f"sieved [{lo}, {hi})")
+
+        monkeypatch.setattr(diophantine, "sieve_segment", no_sieve)
+        with pytest.raises(SieveRangeError):
+            relaxed_search(MAX_SEARCH_VALUE + 1)
+        with pytest.raises(RuntimeError, match="sieved"):
+            relaxed_search(MAX_SEARCH_VALUE)
 
     def test_hits_are_odd_with_the_right_class(self):
         for n in relaxed_search(2_000_000):
@@ -251,8 +313,10 @@ class TestFamilyMembers:
     def test_exotic_kinds_need_an_exotic_m(self):
         with pytest.raises(ValueError):
             family_members(SolutionKind.EXOTIC_B, 3, m=-1)
-        with pytest.raises(InternalInconsistencyError):
+        with pytest.raises(ValueError):
             family_members(SolutionKind.EXOTIC_A, 3, m=1)  # 15 is not prime
+        with pytest.raises(ValueError):
+            family_members(SolutionKind.EXOTIC_B, 3, m=1)
 
     def test_not_solution_rejected(self):
         with pytest.raises(ValueError):

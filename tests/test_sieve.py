@@ -1,9 +1,11 @@
+import bisect
 import math
 import os
 import random
 
 import numpy as np
 import pytest
+import sympy
 
 from gphi.arith import _primes_below, euler_phi
 from gphi.sieve import (
@@ -37,6 +39,11 @@ class TestBasePrimes:
     def test_rejects_tiny_limit(self):
         with pytest.raises(SieveRangeError):
             base_primes(1)
+
+    def test_matches_sympy_for_every_limit(self):
+        primes = list(sympy.primerange(2, 5001))
+        for limit in range(2, 5001):
+            assert base_primes(limit).tolist() == primes[: bisect.bisect_right(primes, limit)], limit
 
     def test_is_the_trial_division_source(self):
         primes = _primes_below(1000)
@@ -103,6 +110,29 @@ class TestPrimesInClass:
     def test_bad_class(self):
         with pytest.raises(ValueError):
             primes_in_class(2, 10, 5, 4)
+
+    # Every class, also those sharing a factor with the modulus, on windows
+    # that start below 2, at a base prime p (p itself must survive), and at
+    # p^2 and p^2 +- modulus, where striking by p begins.
+    @pytest.mark.parametrize("modulus", [1, 2, 3, 4, 6, 8, 9, 12, 30])
+    def test_matches_sympy_in_every_class(self, modulus):
+        windows = [(-7, 60), (0, 0), (0, 3), (1, 2), (-5, -9), (2, 2), (2, 3)]
+        for p in (2, 3, 5, 7, 11, 13, 97, 10007):
+            windows += [(p, p + 150), (p * p, p * p + 150)]
+            windows += [(p * p - modulus, p * p + 150), (p * p + modulus, p * p + 150)]
+        for lo, hi in windows:
+            primes = list(sympy.primerange(max(lo, 2), hi))
+            for residue in range(modulus):
+                got = primes_in_class(lo, hi, residue, modulus)
+                assert got.dtype == np.int64
+                assert got.tolist() == [p for p in primes if p % modulus == residue], (lo, hi, residue)
+
+    # Windows that start at 3 or above must be non-empty; below that they
+    # are clipped to start at 2 and may come out empty.
+    @pytest.mark.parametrize("lo, hi", [(3, 3), (10, 10), (10, 5), (10 ** 9, 2)])
+    def test_empty_or_inverted_window_above_2(self, lo, hi):
+        with pytest.raises(SieveRangeError):
+            primes_in_class(lo, hi, 1, 2)
 
 
 class TestTotientProgression:
