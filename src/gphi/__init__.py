@@ -27,6 +27,7 @@ from .diophantine import (
     brute_force_solutions,
     case_trace,
     classify,
+    classify_range,
     exotic_prime_search,
     family_members,
     is_solution,

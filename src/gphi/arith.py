@@ -160,7 +160,8 @@ def _integer_root(m, k):
 def _split_composite(m, found, rng, mult=1):
     """Add the prime factors of m ** mult to found; m has none up to
     TRIAL_DIVISION_BOUND.  A perfect power r^k is split as r, since rho would
-    need about sqrt(r) steps on it; r > TRIAL_DIVISION_BOUND bounds the k."""
+    need about sqrt(r) steps on it; r > TRIAL_DIVISION_BOUND bounds the k.
+    rng() returns the generator that every rho call of one factorization shares."""
     if is_prime(m):
         found[m] = found.get(m, 0) + mult
         return
@@ -170,17 +171,19 @@ def _split_composite(m, found, rng, mult=1):
         if r ** k == m:
             return _split_composite(r, found, rng, mult * k)
         k += 1
-    d = _brent_rho(m, rng)
+    d = _brent_rho(m, rng())
     _split_composite(d, found, rng, mult)
     _split_composite(m // d, found, rng, mult)
 
 
 def factorize(n):
-    """Exact prime factorization: trial division by sieved primes up to
-    TRIAL_DIVISION_BOUND, then _split_composite on the cofactor."""
+    """Exact prime factorization: the power of 2 in one shift, trial division
+    by sieved primes up to TRIAL_DIVISION_BOUND, then _split_composite on the
+    cofactor."""
     _check_natural(n)
-    found = {}
-    cof = n
+    twos = (n & -n).bit_length() - 1
+    found = {2: twos} if twos else {}
+    cof = n >> twos
     for p in _primes_below(TRIAL_DIVISION_BOUND):
         if p * p > cof:
             break
@@ -191,7 +194,9 @@ def factorize(n):
                 e += 1
             found[p] = e
     if cof > 1:
-        _split_composite(cof, found, random.Random(cof))
+        # Seeding a generator costs about a third of a typical factorization,
+        # and most cofactors are prime: seed it only when rho runs.
+        _split_composite(cof, found, functools.cache(lambda: random.Random(cof)))
     return Factorization(tuple(sorted(found.items())))
 
 

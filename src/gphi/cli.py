@@ -8,7 +8,7 @@ appends one summary line whose only nondeterministic field is elapsed_ms,
 CSV mode sends the summary to stderr.
 
 Exit codes: 0 success, 1 verification failure or search inconsistency,
-2 usage or parameter error.
+2 usage or parameter error, including a limit whose tables cannot be allocated.
 """
 
 from __future__ import annotations
@@ -63,10 +63,7 @@ def _cmd_solutions(args):
     if args.method == "brute":
         records = [{"n": n} for n in diophantine.brute_force_solutions(args.limit)]
     elif args.method == "classify":
-        for n in range(1, args.limit + 1):
-            cls = diophantine.classify(n)
-            if cls.kind is not SolutionKind.NOT_SOLUTION:
-                records.append(_classify_record(n, cls))
+        records = [_classify_record(n, cls) for n, cls in diophantine.classify_range(args.limit).items()]
     else:
         for n, brute, cls in diophantine.oracle_comparison(args.limit):
             classified = cls.kind is not SolutionKind.NOT_SOLUTION
@@ -237,6 +234,9 @@ def main(argv=None):
         return 1
     except (ValueError, SieveRangeError, SegmentTooLargeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = int((time.monotonic() - started) * 1000)
     parameters = {

@@ -5,12 +5,14 @@ equation directly from bulk totient tables and never consults the
 classifier.  classify() goes the other way, matching n against the known
 solution shapes and then confirming every positive match against the
 equation, so a transcription bug turns into a loud error instead of a
-wrong answer.
+wrong answer.  classify_range() is its vectorized twin for whole sweeps,
+held to the scalar classify on a sample of every range it classifies.
 """
 
 from __future__ import annotations
 
 import os
+import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -114,7 +116,8 @@ _EXOTIC_SHAPES = {SolutionKind.EXOTIC_A: (8, 7), SolutionKind.EXOTIC_B: (6, 5)}
 
 
 def _is_exotic(m):
-    """p = 8m+7 is prime and phi(6m+5) = 4m+4; _exotic_segment is the vectorized form."""
+    """p = 8m+7 is prime and phi(6m+5) = 4m+4; _exotic_segment and _exotic_mask
+    are its vectorized forms."""
     return is_prime(8 * m + 7) and euler_phi(6 * m + 5) == 4 * m + 4
 
 
@@ -158,14 +161,70 @@ def classify(n):
     return SolutionClass(kind, ell, exotic_m)
 
 
+# classify_range checks this many n of its range (all of a shorter one)
+# against the scalar classify.
+_RANGE_SAMPLE_SIZE = 1024
+
+
+def _exotic_mask(phi, m):
+    """_is_exotic over an array of m, read from a phi table that reaches 8m+7."""
+    p = 8 * m + 7
+    return (phi[p] == p - 1) & (phi[6 * m + 5] == 4 * m + 4)
+
+
+def classify_range(limit):
+    """{n: classify(n)} for every n <= limit that classify calls a solution,
+    in ascending order.
+
+    Family members come from the family index.  An exotic odd part is
+    q = a*m + b <= limit // 2 with _is_exotic(m), tested for all m at once
+    over one phi table to (4 * (limit // 2) + 1) // 3, where the largest
+    8m+7 lies; family odd parts are left out and the shapes are tried in
+    classify's order.  Every positive is re-confirmed against the equation,
+    and a sample of the range seeded by limit is checked against classify.
+    """
+    # odd part -> (kind, least ell, exotic m); setdefault lets the families,
+    # then the shapes in order, take precedence as they do in classify.
+    odd_parts = {q: (kind, least, None) for q, (kind, least) in _FAMILY_BY_ODD_PART.items()}
+    top = max(limit, 0) // 2
+    phi = _phi_table((4 * top + 1) // 3)
+    for shape, (a, b) in _EXOTIC_SHAPES.items():
+        m = np.arange((top - b) // a + 1, dtype=np.int64)
+        for hit in m[_exotic_mask(phi, m)].tolist():
+            odd_parts.setdefault(a * hit + b, (shape, 1, hit))
+    classes = {}
+    for q, (kind, ell, m) in odd_parts.items():
+        while q << ell <= limit:
+            classes[q << ell] = SolutionClass(kind, ell, m)
+            ell += 1
+    classes = dict(sorted(classes.items()))
+    for n, cls in classes.items():
+        if not is_solution(n):
+            raise InternalInconsistencyError(
+                f"classify_range: {n} matches shape {cls.kind.value} but fails the defining equation"
+            )
+    population = range(1, limit + 1)
+    if len(population) > _RANGE_SAMPLE_SIZE:
+        population = random.Random(limit).sample(population, _RANGE_SAMPLE_SIZE)
+    for n in population:
+        got = classes.get(n, SolutionClass(SolutionKind.NOT_SOLUTION, v2(n)))
+        expected = classify(n)
+        if got != expected:
+            raise InternalInconsistencyError(
+                f"classify_range({limit}) gives {got} for {n}, classify gives {expected}"
+            )
+    return classes
+
+
 def oracle_comparison(limit):
-    """Sweep [1, limit] with the brute-force oracle and the classifier, yielding
-    (n, brute verdict, classification) for every n either calls a solution."""
+    """Sweep [1, limit] with the brute-force oracle and the range classifier,
+    yielding (n, brute verdict, classification) for every n either calls a
+    solution."""
     solutions = set(brute_force_solutions(limit))
-    for n in range(1, limit + 1):
-        cls = classify(n)
-        if n in solutions or cls.kind is not SolutionKind.NOT_SOLUTION:
-            yield n, n in solutions, cls
+    classified = classify_range(limit)
+    for n in sorted(solutions | classified.keys()):
+        cls = classified.get(n, SolutionClass(SolutionKind.NOT_SOLUTION, v2(n)))
+        yield n, n in solutions, cls
 
 
 def theorem_mismatches(limit):

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from gphi import arith
 from gphi.arith import (
     Factorization,
     LemmaKind,
@@ -58,6 +59,45 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_matches_trial_division(self):
+        for n in range(1, 20001):
+            expected, cof, p = [], n, 2
+            while cof > 1:
+                if p * p > cof:
+                    expected.append((cof, 1))
+                    break
+                e = 0
+                while cof % p == 0:
+                    cof //= p
+                    e += 1
+                if e:
+                    expected.append((p, e))
+                p += 1
+            assert factorize(n).factors == tuple(expected), n
+
+    def test_high_powers_of_two(self):
+        # One shift takes the whole power of 2; the odd part factors as it does alone.
+        for q in (1, 3, 5, 7, 35, 47, 1679615, 10 ** 12 + 39, 1000003 * 1000033):
+            n = q << 1500
+            assert factorize(n).factors == ((2, 1500),) + factorize(q).factors
+            assert dict(factorize(n).factors) == sympy.factorint(n)
+
+    def test_generator_is_seeded_only_for_rho(self, monkeypatch):
+        seeds = []
+
+        class Recording(random.Random):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(arith.random, "Random", Recording)
+        p, q = 1000003, 1000033
+        assert factorize(6 * (10 ** 12 + 39)).factors == ((2, 1), (3, 1), (10 ** 12 + 39, 1))
+        assert factorize(7 * p * p).factors == ((7, 1), (p, 2))
+        assert seeds == []
+        assert factorize(6 * p * q).factors == ((2, 1), (3, 1), (p, 1), (q, 1))
+        assert seeds == [p * q]
 
     def test_factorization_validates_primes(self):
         with pytest.raises(ValueError):

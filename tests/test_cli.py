@@ -21,13 +21,9 @@ def json_records(out):
 
 @pytest.fixture
 def misclassify_70(monkeypatch):
-    """The classifier, broken to miss the solution 70."""
-    classify = diophantine.classify
-
-    def broken(n):
-        return SolutionClass(SolutionKind.NOT_SOLUTION, 1) if n == 70 else classify(n)
-
-    monkeypatch.setattr(diophantine, "classify", broken)
+    """The family index both classifiers read, broken to start family 35 at
+    ell = 2, so the range and the scalar classifier both miss the solution 70."""
+    monkeypatch.setitem(diophantine._FAMILY_BY_ODD_PART, 35, (SolutionKind.FAMILY_35, 2))
 
 
 def strip_timing(out):
@@ -97,6 +93,30 @@ class TestVerifyTheorem:
         assert code == summary["exit_code"] == 1
         assert records == [{"n": 70, "brute": True, "classified": False, "kind": "not_solution"}]
         assert summary["truncations"] == ["solutions=19", "mismatches=1"]
+
+    def test_range_and_scalar_disagreement_exits_1(self, capsys, monkeypatch):
+        classify = diophantine.classify
+        monkeypatch.setattr(
+            diophantine, "classify",
+            lambda n: SolutionClass(SolutionKind.NOT_SOLUTION, 1) if n == 70 else classify(n),
+        )
+        code, out, err = run(capsys, "verify-theorem", "--limit", "100")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: inconsistency:") and err.count("\n") == 1
+
+    # At 10^15 the phi tables would take 4.7 to 14 PiB, more than any
+    # address space, so the first allocation fails at once.
+    @pytest.mark.parametrize("command", [
+        ("verify-theorem",),
+        ("solutions", "--method", "brute"),
+        ("solutions", "--method", "classify"),
+    ])
+    def test_unallocatable_limit_exits_2(self, capsys, command):
+        code, out, err = run(capsys, *command, "--limit", str(10 ** 15))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory:") and err.count("\n") == 1
 
 
 class TestSearchExotic:

@@ -11,11 +11,14 @@ from gphi.diophantine import (
     MAX_SEARCH_VALUE,
     FAMILIES,
     CheckpointMismatchError,
+    InternalInconsistencyError,
+    SolutionClass,
     SolutionKind,
     TraceCase,
     brute_force_solutions,
     case_trace,
     classify,
+    classify_range,
     exotic_prime_search,
     family_members,
     is_solution,
@@ -99,6 +102,85 @@ class TestClassify:
     def test_odd_numbers_never_classify(self):
         for n in range(1, 500, 2):
             assert classify(n).kind is SolutionKind.NOT_SOLUTION
+
+
+RANGE_TOP = 1 << 15
+
+
+@pytest.fixture(scope="module")
+def scalar_classes():
+    """classify(n) for every n <= RANGE_TOP that it calls a solution."""
+    classes = {n: classify(n) for n in range(1, RANGE_TOP + 1)}
+    return {n: cls for n, cls in classes.items() if cls.kind is not SolutionKind.NOT_SOLUTION}
+
+
+def family_edge_limits(kind):
+    """q * 2^ell - 1, q * 2^ell and q * 2^ell + 1 for every member of one family up to RANGE_TOP."""
+    q, least = FAMILIES[kind]
+    return sorted({(q << ell) + d for ell in range(least, (RANGE_TOP // q).bit_length()) for d in (-1, 0, 1)})
+
+
+class TestClassifyRange:
+    def test_agrees_with_classify_to_2_15(self, scalar_classes):
+        classes = classify_range(RANGE_TOP)
+        assert classes == scalar_classes
+        assert list(classes) == sorted(classes)
+
+    def test_agrees_with_classify_on_small_limits(self, scalar_classes):
+        for limit in range(-1, 65):
+            assert classify_range(limit) == {n: c for n, c in scalar_classes.items() if n <= limit}, limit
+
+    @pytest.mark.parametrize("kind", list(FAMILIES))
+    def test_agrees_with_classify_at_family_members(self, kind, scalar_classes):
+        for limit in family_edge_limits(kind):
+            assert classify_range(limit) == {n: c for n, c in scalar_classes.items() if n <= limit}, limit
+
+    @pytest.mark.parametrize("limit", [10, 14, 69, 70, 94, 100, 2000])
+    def test_exotic_branch(self, monkeypatch, limit):
+        # Without the family index, the known exotic m = 0, 5 give back
+        # the odd parts 7, 47 (shape A) and 5, 35 (shape B).
+        monkeypatch.setattr(diophantine, "_FAMILY_BY_ODD_PART", {})
+        shapes = ((7, SolutionKind.EXOTIC_A, 0), (47, SolutionKind.EXOTIC_A, 5),
+                  (5, SolutionKind.EXOTIC_B, 0), (35, SolutionKind.EXOTIC_B, 5))
+        expected = {q << ell: SolutionClass(kind, ell, m)
+                    for q, kind, m in shapes for ell in range(1, 12) if q << ell <= limit}
+        assert classify_range(limit) == dict(sorted(expected.items()))
+        for n, cls in expected.items():
+            assert classify(n) == cls
+
+    @pytest.mark.parametrize("first,second", [(SolutionKind.EXOTIC_A, SolutionKind.EXOTIC_B),
+                                              (SolutionKind.EXOTIC_B, SolutionKind.EXOTIC_A)])
+    def test_shapes_are_tried_in_classify_order(self, monkeypatch, first, second):
+        # The real shapes never share an odd part: A needs q prime and B needs
+        # phi(q) = (2q + 2)/3, both only at q = 5, which is not 7 mod 8.  Two
+        # copies of one shape do, and the first listed wins in both classifiers.
+        monkeypatch.setattr(diophantine, "_FAMILY_BY_ODD_PART", {})
+        monkeypatch.setattr(diophantine, "_EXOTIC_SHAPES", {first: (8, 7), second: (8, 7)})
+        expected = {14: SolutionClass(first, 1, 0), 28: SolutionClass(first, 2, 0),
+                    56: SolutionClass(first, 3, 0), 94: SolutionClass(first, 1, 5)}
+        assert classify_range(100) == expected
+        for n, cls in expected.items():
+            assert classify(n) == cls
+
+    def test_disagreement_with_classify_raises(self, monkeypatch):
+        scalar = diophantine.classify
+        monkeypatch.setattr(diophantine, "classify", lambda n: SolutionClass(SolutionKind.NOT_SOLUTION, v2(n)) if n == 70 else scalar(n))
+        with pytest.raises(InternalInconsistencyError, match="classify_range"):
+            classify_range(100)
+
+    def test_sample_of_a_long_range_is_checked(self, monkeypatch):
+        # A classify that is wrong on every n: any sample point shows it.
+        monkeypatch.setattr(diophantine, "classify", lambda n: SolutionClass(SolutionKind.NOT_SOLUTION, -1))
+        with pytest.raises(InternalInconsistencyError, match="classify_range"):
+            classify_range(50000)
+
+    def test_positives_are_confirmed(self, monkeypatch):
+        # Both classifiers take 9 for a family odd part; only the equation says no.
+        monkeypatch.setitem(diophantine._FAMILY_BY_ODD_PART, 9, (SolutionKind.FAMILY_3, 1))
+        scalar = diophantine.classify
+        monkeypatch.setattr(diophantine, "classify", lambda n: SolutionClass(SolutionKind.FAMILY_3, 1) if n == 18 else scalar(n))
+        with pytest.raises(InternalInconsistencyError, match="classify_range: 18 matches"):
+            classify_range(20)
 
 
 class TestCaseTrace:
