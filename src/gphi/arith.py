@@ -139,6 +139,13 @@ class Factorization:
                 raise ValueError(f"{p} is not prime")
             last = p
 
+    @classmethod
+    def _proven(cls, factors):
+        """One whose primes the caller has just proven: skips the re-check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "factors", factors)
+        return self
+
     @property
     def value(self):
         out = 1
@@ -179,13 +186,15 @@ def _split_composite(m, found, rng, mult=1):
 def factorize(n):
     """Exact prime factorization: the power of 2 in one shift, trial division
     by sieved primes up to TRIAL_DIVISION_BOUND, then _split_composite on the
-    cofactor."""
+    cofactor.  Each prime is proven once, so the result skips the re-check."""
     _check_natural(n)
     twos = (n & -n).bit_length() - 1
     found = {2: twos} if twos else {}
     cof = n >> twos
     for p in _primes_below(TRIAL_DIVISION_BOUND):
         if p * p > cof:
+            if cof > 1:  # no prime factor below p: cof is prime
+                found[cof] = 1
             break
         if cof % p == 0:
             e = 0
@@ -193,11 +202,21 @@ def factorize(n):
                 cof //= p
                 e += 1
             found[p] = e
-    if cof > 1:
-        # Seeding a generator costs about a third of a typical factorization,
-        # and most cofactors are prime: seed it only when rho runs.
-        _split_composite(cof, found, functools.cache(lambda: random.Random(cof)))
-    return Factorization(tuple(sorted(found.items())))
+    else:
+        if cof > 1:
+            rng = None
+
+            # Seeding a generator costs about a third of a typical
+            # factorization, and most cofactors are prime: seed it only
+            # when rho runs.
+            def shared_rng():
+                nonlocal rng
+                if rng is None:
+                    rng = random.Random(cof)
+                return rng
+
+            _split_composite(cof, found, shared_rng)
+    return Factorization._proven(tuple(sorted(found.items())))
 
 
 def euler_phi(n):

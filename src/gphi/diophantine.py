@@ -23,6 +23,7 @@ import numpy as np
 from .arith import _check_natural, euler_phi, factorize, is_prime, v2
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
+    MAX_SIEVE_VALUE,
     SearchCheckpoint,
     SegmentTooLargeError,
     SieveRangeError,
@@ -37,9 +38,10 @@ from .sieve import (
 # exotic_prime_search's pool forks all its workers at once: the count is capped.
 MAX_JOBS = 256
 
-# Widest exotic segment.  At its peak a segment holds about 2.4 bytes per
-# value of width, nearly all of it phi and acc of the one-in-eight companions
-# (the class's prime flags take 1/8 byte), so its arrays stay near 1 GiB.
+# Widest exotic segment.  At its peak a segment holds at most 2.5 bytes per
+# value of width (2.47 at 2^22 wide near 10^10, 2.25 at 2^24), nearly all of
+# it phi and acc of the one-in-eight companions (the class's prime flags take
+# 1/8 byte), so its arrays stay near 1 GB.
 MAX_EXOTIC_SEGMENT = 400_000_000
 
 # Both searches triple values in int64 (3p - 1 in _exotic_segment, 3*phi(n)
@@ -64,6 +66,8 @@ def is_solution(n):
 
 def _phi_table(limit):
     """phi(v) for all v <= limit, indexed by value (phi[0] unused)."""
+    if limit >= MAX_SIEVE_VALUE:
+        raise SieveRangeError(f"phi table to {limit} reaches the sieve maximum {MAX_SIEVE_VALUE}")
     phi = np.zeros(limit + 1, dtype=np.int64)
     if limit >= 1:
         phi[1] = 1

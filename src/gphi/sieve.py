@@ -22,6 +22,10 @@ MAX_SIEVE_VALUE = 1 << 62
 
 _BLOCK = 1 << 16  # totient_progression: phi and acc of a block (1 MiB) fit in L2
 _DENSE_BELOW = 1 << 8  # smaller prime powers hit every block 256 or more times
+# A prime striking fewer members than this costs more in interpreter overhead
+# than in its strided write; such primes go through one vectorized pass.
+_STRIDED_HITS = 64
+_SPARSE_BATCH = 1 << 14  # strikes expanded at once by the sparse pass
 
 
 class SieveRangeError(ValueError):
@@ -47,22 +51,83 @@ def _progression(lo, hi, residue, modulus):
     return first, max(0, (hi - first + modulus - 1) // modulus)
 
 
+def _sparse_split(primes, count, modulus):
+    """Index of the first sparse prime in the ascending primes: from there on
+    each p strikes fewer than _STRIDED_HITS of count members and exceeds the
+    modulus, so it is coprime to the modulus and below 2^31."""
+    return int(np.searchsorted(primes, max(count // _STRIDED_HITS, modulus), side="right"))
+
+
+def _inverses(modulus, primes):
+    """modulus^-1 mod p for each prime p > modulus in an int64 array.
+
+    The inverse is (1 + k*p) / modulus with k = -(p mod modulus)^-1 mod
+    modulus, so one Python pow per distinct residue p mod modulus gives it;
+    as k*(p // modulus) + (1 + k*r) // modulus no step leaves int64."""
+    res = primes % modulus
+    keys = sorted(set(res.tolist()))
+    ks = [-pow(r, -1, modulus) % modulus for r in keys]
+    at = np.searchsorted(np.array(keys, dtype=np.int64), res)
+    k = np.array(ks, dtype=np.int64)[at]
+    c = np.array([(1 + kr * r) // modulus for kr, r in zip(ks, keys)], dtype=np.int64)[at]
+    return k * (primes // modulus) + c
+
+
+def _sparse_strikes(first, modulus, count, primes, from_square):
+    """Batches (j, p) of equal-length arrays: every index j < count whose
+    member first + modulus*j is a multiple of p, for each p in primes, all
+    from a _sparse_split tail; with from_square only members >= p^2.  The
+    first index of p is -first / modulus (mod p), from residues below 2^31,
+    so products stay below 2^62."""
+    j0 = (-first) % primes * _inverses(modulus, primes) % primes
+    if from_square:
+        start = np.maximum(0, -((first - primes * primes) // modulus))
+        j0 = start + (j0 - start) % primes
+    hits = np.maximum(0, (count - j0 + primes - 1) // primes)
+    keep = hits > 0
+    primes, j0, hits = primes[keep], j0[keep], hits[keep]
+    if primes.size == 0:
+        return
+    ends = np.cumsum(hits)
+    cuts = np.searchsorted(ends, np.arange(_SPARSE_BATCH, int(ends[-1]), _SPARSE_BATCH), side="right")
+    edges = [0, *cuts.tolist(), primes.size]
+    for a, b in zip(edges, edges[1:]):
+        if a == b:  # only with a batch smaller than one prime's strikes
+            continue
+        p, j, n = primes[a:b], j0[a:b], hits[a:b]
+        ps = np.repeat(p, n)
+        step = ps.copy()
+        last = j + (n - 1) * p
+        # each run of p starts by jumping from the previous run's last index
+        step[np.cumsum(n) - n] = j - np.concatenate(([0], last[:-1]))
+        yield np.cumsum(step, out=step), ps
+
+
 def _sieve_class(lo, hi, residue, modulus):
     """Primes p = residue (mod modulus) in [lo, hi), lo >= 2, ascending, from one
     flag per member of the class.  Each base prime p, itself from this sieve,
-    strikes its multiples in the class from the first at or above p^2: every
-    p-th member, or every member if p divides modulus and residue, or none if
-    p divides the modulus only."""
+    strikes its multiples in the class from the first at or above p^2.
+
+    Base primes come in two tiers.  Strided: each p up to the _sparse_split
+    point writes every p-th member in one slice, or every member if p divides
+    modulus and residue, or none if p divides the modulus only; the flags are
+    one byte each, so no small prime needs the block loop of
+    totient_progression.  Sparse: all larger p, which strike fewer than
+    _STRIDED_HITS members each, are struck together by _sparse_strikes."""
     first, count = _progression(lo, hi, residue, modulus)
     flags = np.ones(count, dtype=bool)
     root = math.isqrt(first + modulus * (count - 1)) if count else 0
-    for p in _sieve_class(2, root + 1, 0, 1).tolist() if root >= 2 else ():
+    primes = _sieve_class(2, root + 1, 0, 1) if root >= 2 else np.empty(0, dtype=np.int64)
+    split = _sparse_split(primes, count, modulus)
+    for p in primes[:split].tolist():
         start = max(0, -((first - p * p) // modulus))  # first member >= p^2
         if modulus % p:
             start += (-(first + modulus * start) * pow(modulus, -1, p)) % p
             flags[start::p] = False
         elif residue % p == 0:
             flags[start:] = False
+    for j, _ in _sparse_strikes(first, modulus, count, primes[split:], from_square=True):
+        flags[j] = False  # a repeated index strikes the same flag again
     return np.flatnonzero(flags) * modulus + first
 
 
@@ -110,8 +175,14 @@ def totient_progression(lo, hi, residue, modulus):
     Bays & Hudson's progression sieve (BIT 1977) without division in the
     loop: each prime power p^e multiplies phi by p - 1 or p and the smooth
     part acc by p; v // acc is then 1 or v's one prime factor above sqrt(hi).
-    Small prime powers, which touch most cache lines, and the final division
-    run block by block in cache; larger ones sweep the whole range at once.
+    Prime powers come in three tiers by how many members they hit.  Dense
+    (p^e < _DENSE_BELOW), which touch most cache lines, run block by block
+    in cache, as does the final division.  Strided ones sweep the whole
+    range once per power.  Sparse primes, each hitting fewer than
+    _STRIDED_HITS members (see _sparse_split), are applied together from
+    _sparse_strikes: a hit v of p gets phi *= (p - 1) * p^(e-1) and
+    acc *= p^e, e found by dividing v by p while it divides, through
+    np.multiply.at, since two sparse primes may divide one value.
     """
     if modulus < 1 or math.gcd(residue, modulus) != 1:
         raise ValueError(f"residue {residue} not coprime to modulus {modulus}")
@@ -126,7 +197,9 @@ def totient_progression(lo, hi, residue, modulus):
     dense = []  # (p^e, first index it divides, phi factor, p), run per block
     root = math.isqrt(hi - 1)
     # below 4 the prime 2 is surplus, and harmless: acc holds exact p-parts
-    for p in base_primes(max(root, 2)).tolist():
+    primes = base_primes(max(root, 2))
+    split = _sparse_split(primes, count, modulus)
+    for p in primes[:split].tolist():
         pe = p
         while pe <= top and modulus % p:
             j0 = (-first * pow(modulus, -1, pe)) % pe
@@ -138,6 +211,15 @@ def totient_progression(lo, hi, residue, modulus):
                 phi[j0::pe] *= p - 1 if pe == p else p
                 acc[j0::pe] *= p
             pe *= p
+    for j, p in _sparse_strikes(first, modulus, count, primes[split:], from_square=False):
+        np.multiply.at(phi, j, p - 1)
+        np.multiply.at(acc, j, p)
+        rest = (first + modulus * j) // p
+        while (more := np.flatnonzero(rest % p == 0)).size:  # p^2, p^3, ... divide these
+            j, p = j[more], p[more]
+            rest = rest[more] // p
+            np.multiply.at(phi, j, p)
+            np.multiply.at(acc, j, p)
     for b0 in range(0, count, _BLOCK):
         block_phi, block_acc = phi[b0 : b0 + _BLOCK], acc[b0 : b0 + _BLOCK]
         for pe, j0, factor, p in dense:

@@ -99,6 +99,18 @@ class TestFactorize:
         assert factorize(6 * p * q).factors == ((2, 1), (3, 1), (p, 1), (q, 1))
         assert seeds == [p * q]
 
+    def test_each_prime_is_proven_once(self, monkeypatch):
+        proven = []
+        monkeypatch.setattr(arith, "is_prime", lambda n: proven.append(n) or is_prime(n))
+        # a cofactor below the square of the next trial prime is prime without a test
+        assert factorize(2 * 3 * 5 * 7 * 11 * 13 * 997).factors == tuple((p, 1) for p in (2, 3, 5, 7, 11, 13, 997))
+        assert proven == []
+        assert factorize(6 * (10 ** 12 + 39)).factors == ((2, 1), (3, 1), (10 ** 12 + 39, 1))
+        assert proven == [10 ** 12 + 39]
+        # a Factorization built directly still checks its primes
+        Factorization(((2, 1), (10 ** 12 + 39, 1)))
+        assert proven[1:] == [2, 10 ** 12 + 39]
+
     def test_factorization_validates_primes(self):
         with pytest.raises(ValueError):
             Factorization(((4, 1),))

@@ -5,6 +5,7 @@ import pytest
 from gphi import arith, diophantine
 from gphi.cli import MAX_JOBS, main, resolve_jobs
 from gphi.diophantine import SolutionClass, SolutionKind
+from gphi.sieve import MAX_SIEVE_VALUE
 
 
 def run(capsys, *argv):
@@ -117,6 +118,20 @@ class TestVerifyTheorem:
         assert code == 2
         assert out == ""
         assert err.startswith("error: out of memory:") and err.count("\n") == 1
+
+    # At 10^23 the tables would hold values past the int64 sieve, which is
+    # refused by name before any allocation.
+    @pytest.mark.parametrize("command", [
+        ("verify-theorem",),
+        ("solutions", "--method", "brute"),
+        ("solutions", "--method", "classify"),
+    ])
+    def test_limit_past_the_sieve_maximum_exits_2(self, capsys, command):
+        code, out, err = run(capsys, *command, "--limit", str(10 ** 23))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: phi table to ") and err.count("\n") == 1
+        assert str(MAX_SIEVE_VALUE) in err
 
 
 class TestSearchExotic:

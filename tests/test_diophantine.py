@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -270,6 +271,19 @@ class TestExoticSearch:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert counts[0]["primes_in_class"] == 1
+
+    # MAX_EXOTIC_SEGMENT is sized from a segment's peak of at most 2.5
+    # bytes per value of width; numpy reports its buffers to tracemalloc.
+    def test_segment_peak_memory_per_value(self):
+        lo, width = 9_900_000_000, 1 << 22
+        diophantine._exotic_segment((lo, lo + 64))  # import-time and cached allocations
+        tracemalloc.start()
+        try:
+            diophantine._exotic_segment((lo, lo + width))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * width
 
     def test_checkpoint_resume_reproduces_hits(self, tmp_path):
         lo, hi, seg = 2, 3_000_000, 1 << 19

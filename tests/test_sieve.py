@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 import sympy
 
+from gphi import sieve
 from gphi.arith import _primes_below, euler_phi
 from gphi.sieve import (
     _BLOCK,
+    _STRIDED_HITS,
+    _sparse_split,
+    _sparse_strikes,
     SearchCheckpoint,
     SegmentTooLargeError,
     SieveRangeError,
@@ -186,6 +190,59 @@ class TestTotientProgression:
         # no value congruent to 5 mod 6 inside [6, 10)
         _, phi = totient_progression(6, 10, 5, 6)
         assert phi.size == 0
+
+
+class TestSparseTier:
+    """Primes above the modulus that strike fewer than _STRIDED_HITS members
+    are applied in one vectorized pass; both kernels must still agree with
+    scalar phi and sympy on every member."""
+
+    MODULI = [1, 2, 6, 8, 30]
+
+    @staticmethod
+    def check(lo, hi, residue, modulus):
+        first, phi = totient_progression(lo, hi, residue, modulus)
+        members = range(first, hi, modulus)
+        assert phi.tolist() == [euler_phi(v) for v in members], (lo, hi, residue, modulus)
+        got = primes_in_class(lo, hi, residue, modulus).tolist()
+        assert got == [v for v in members if sympy.isprime(v)], (lo, hi, residue, modulus)
+
+    # 1009 < 1013 < 1019 are sparse in a 201-member window near 10^9: values
+    # with several sparse prime factors, and 1009^2 and 1009^3, all coprime
+    # to every modulus here.
+    @pytest.mark.parametrize("modulus", MODULI)
+    @pytest.mark.parametrize("v", [1009 * 1013 * 1019, 1009 ** 2 * 7, 1009 ** 2 * 1013, 1009 ** 3, 1009 ** 3 * 11])
+    def test_sparse_factors_and_powers(self, v, modulus):
+        lo, hi = v - 100 * modulus, v + 100 * modulus + 1
+        primes = base_primes(math.isqrt(hi - 1))
+        assert primes[_sparse_split(primes, 201, modulus)] <= 1009
+        self.check(lo, hi, v % modulus, modulus)
+
+    # 4096 members: primes up to 64 (and the modulus) stride, larger ones are
+    # sparse, so the tier boundary falls inside the window.
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_window_across_the_tier_boundary(self, modulus):
+        lo = 10 ** 9 + 7
+        count = 64 * _STRIDED_HITS
+        hi = lo + modulus * count
+        primes = base_primes(math.isqrt(hi - 1))
+        split = _sparse_split(primes, count, modulus)
+        assert 0 < split < primes.size and primes[split - 1] <= max(count // _STRIDED_HITS, modulus)
+        for residue in (r for r in range(modulus) if math.gcd(r, modulus) == 1):
+            self.check(lo, hi, residue, modulus)
+
+    # A small batch size makes one window's strikes span many batches.
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_hits_span_several_batches(self, monkeypatch, modulus):
+        monkeypatch.setattr(sieve, "_SPARSE_BATCH", 16)
+        v = 1009 * 1013 * 1019
+        lo, hi = v - 100 * modulus, v + 100 * modulus + 1
+        first = lo + (v - lo) % modulus
+        primes = base_primes(math.isqrt(hi - 1))
+        sparse = primes[_sparse_split(primes, 201, modulus):]
+        batches = list(_sparse_strikes(first, modulus, 201, sparse, from_square=False))
+        assert len(batches) >= 3
+        self.check(lo, hi, v % modulus, modulus)
 
 
 class TestCheckpoint:
