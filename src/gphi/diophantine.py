@@ -11,6 +11,7 @@ held to the scalar classify on a sample of every range it classifies.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -27,6 +28,7 @@ from .sieve import (
     SearchCheckpoint,
     SegmentTooLargeError,
     SieveRangeError,
+    base_primes,
     primes_in_class,
     read_checkpoint,
     sieve_segment,
@@ -38,10 +40,12 @@ from .sieve import (
 # exotic_prime_search's pool forks all its workers at once: the count is capped.
 MAX_JOBS = 256
 
-# Widest exotic segment.  At its peak a segment holds at most 2.5 bytes per
-# value of width (2.47 at 2^22 wide near 10^10, 2.25 at 2^24), nearly all of
-# it phi and acc of the one-in-eight companions (the class's prime flags take
-# 1/8 byte), so its arrays stay near 1 GB.
+# Widest exotic segment.  At its peak a segment holds at most 1.5 bytes per
+# value of width (1.36 at 2^22 wide near 10^10, 1.31 at 2^24), nearly all of
+# it phi and acc of the one-in-sixteen companions of odd m (the prime flags
+# of the class 15 mod 16 take 1/16 byte), so its arrays stay near 600 MB.
+# The search's base primes, built once and shared by every segment, come on
+# top: 8 bytes per prime up to sqrt(hi).
 MAX_EXOTIC_SEGMENT = 400_000_000
 
 # Both searches triple values in int64 (3p - 1 in _exotic_segment, 3*phi(n)
@@ -68,7 +72,10 @@ def _phi_table(limit):
     """phi(v) for all v <= limit, indexed by value (phi[0] unused)."""
     if limit >= MAX_SIEVE_VALUE:
         raise SieveRangeError(f"phi table to {limit} reaches the sieve maximum {MAX_SIEVE_VALUE}")
-    phi = np.zeros(limit + 1, dtype=np.int64)
+    try:
+        phi = np.zeros(limit + 1, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:  # numpy raises ValueError past its size cap
+        raise MemoryError(f"phi table to {limit} needs {8 * (limit + 1)} bytes") from exc
     if limit >= 1:
         phi[1] = 1
     for lo in range(2, limit + 1, DEFAULT_SEGMENT_SIZE):
@@ -310,16 +317,44 @@ class ExoticWitness:
     q: int
 
 
-def _exotic_segment(bounds):
-    """Hits m with 8m+7 prime in [lo, hi) and phi(6m+5) = 4m+4."""
+def _exotic_segment(bounds, primes=None):
+    """Hits m with 8m+7 prime in [lo, hi) and phi(6m+5) = 4m+4, ascending.
+
+    Only odd m are sieved, by a 2-adic lemma: every m > 0 with
+    phi(6m+5) = 4m+4 is odd.  With q = 6m+5, 3*phi(q) = 2q + 2, so a prime
+    dividing both q and phi(q) divides 3*phi(q) - 2q = 2; q is odd, so it
+    is squarefree and 2^omega(q) divides phi(q) = 4(m+1).  omega(q) = 1
+    gives q = 5, m = 0.  omega(q) = 2 gives q = ab with (a-3)(b-3) = 8, so
+    q = 35 and m = 5, which is odd.  omega(q) >= 3 puts 8 | 4(m+1), so m is
+    odd.  Odd m are the primes p = 8m+7 = 15 (mod 16), whose companions
+    q = (3p-1)/4 lie in the progression 11 (mod 12); p = 7 (m = 0) is
+    checked on its own with the scalar _is_exotic.
+
+    phi is evaluated only at the companions of the primes found, and both
+    kernels slice primes, the search's base primes, when it is given."""
     lo, hi = bounds
-    primes = primes_in_class(lo, hi, 7, 8)
-    if primes.size == 0:
-        return []
-    companions = (3 * primes - 1) // 4
-    first, phi = totient_progression(int(companions[0]), int(companions[-1]) + 1, 5, 6)
-    ok = phi[(companions - first) // 6] == (primes + 1) // 2
-    return [int(m) for m in (primes[ok] - 7) // 8]
+    hits = [0] if lo <= 7 < hi and _is_exotic(0) else []
+    p = primes_in_class(lo, hi, 15, 16, primes)
+    if p.size == 0:
+        return hits
+    q = (3 * p - 1) // 4
+    first = int(q[0])
+    _, phi = totient_progression(first, int(q[-1]) + 1, 11, 12, at=(q - first) // 12, primes=primes)
+    return hits + ((p[phi == (p + 1) // 2] - 7) // 8).tolist()
+
+
+# The search's base primes in a pool worker, set once per worker by the
+# pool initializer so that no task pickles them.
+_worker_primes = None
+
+
+def _init_worker(primes):
+    global _worker_primes
+    _worker_primes = primes
+
+
+def _worker_segment(bounds):
+    return _exotic_segment(bounds, _worker_primes)
 
 
 def exotic_prime_search(
@@ -333,10 +368,12 @@ def exotic_prime_search(
 ):
     """Find all m with p = 8m+7 prime in [lo, hi) and phi(6m+5) = 4m+4.
 
-    The p-range is sieved for primes in class 7 mod 8 while the companion
-    q-range is totient-sieved along the progression 5 mod 6, segment by
-    segment.  Results are merged in ascending range order regardless of
-    worker scheduling; a checkpoint file makes the search resumable.
+    Segment by segment, the p-range is sieved for primes in class 15 mod 16
+    (hits other than m = 0 have odd m, see _exotic_segment) and phi is
+    sieved at their companions q = (3p-1)/4 along the progression 11 mod 12.
+    The base primes up to sqrt(hi) are built once per search and shared by
+    every segment.  Results are merged in ascending range order regardless
+    of worker scheduling; a checkpoint file makes the search resumable.
     max_segments limits how many segments run (for tests and partial runs).
     """
     if not 2 <= lo < hi:
@@ -352,6 +389,8 @@ def exotic_prime_search(
     if isinstance(jobs, bool) or not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be an integer from 1 to {MAX_JOBS}, got {jobs!r}")
     search_id = f"exotic:{lo}:{hi}:{segment_size}"
+    if checkpoint_path is not None:
+        _check_checkpoint_dir(checkpoint_path)
     start = lo
     hits = []
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
@@ -364,8 +403,14 @@ def exotic_prime_search(
         start = cp.last_completed_hi
         hits = list(cp.hits)
     segments = [(a, min(a + segment_size, hi)) for a in range(start, hi, segment_size)[:max_segments]]
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        results = (pool.map if pool else map)(_exotic_segment, segments)
+    # p < hi and q < p: one array covers the roots of both ranges
+    primes = base_primes(max(math.isqrt(hi - 1), 2)) if segments else None
+    pool = ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(primes,)) if jobs > 1 else None
+    with pool or nullcontext():
+        if pool:
+            results = pool.map(_worker_segment, segments)
+        else:
+            results = (_exotic_segment(bounds, primes) for bounds in segments)
         for (seg_lo, seg_hi), seg_hits in zip(segments, results):
             hits.extend(seg_hits)
             if checkpoint_path is not None:
@@ -373,6 +418,14 @@ def exotic_prime_search(
             if progress is not None:
                 progress(seg_lo, seg_hi, seg_hits)
     return [ExoticWitness(m, 8 * m + 7, 6 * m + 5) for m in hits]
+
+
+def _check_checkpoint_dir(path):
+    """Refuse a checkpoint path whose directory cannot take the file, before
+    any segment is sieved."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
+        raise ValueError(f"checkpoint {path}: {directory} is not a writable directory")
 
 
 def _check_resume(cp, lo, hi, segment_size):

@@ -103,10 +103,16 @@ def _sparse_strikes(first, modulus, count, primes, from_square):
         yield np.cumsum(step, out=step), ps
 
 
-def _sieve_class(lo, hi, residue, modulus):
+def _base_slice(primes, root):
+    """The primes <= root of an ascending array that reaches at least root."""
+    return primes[: int(np.searchsorted(primes, root, side="right"))]
+
+
+def _sieve_class(lo, hi, residue, modulus, primes=None):
     """Primes p = residue (mod modulus) in [lo, hi), lo >= 2, ascending, from one
-    flag per member of the class.  Each base prime p, itself from this sieve,
-    strikes its multiples in the class from the first at or above p^2.
+    flag per member of the class.  Each base prime p, itself from this sieve
+    unless the caller passes all primes up to at least sqrt of the largest
+    member, strikes its multiples in the class from the first at or above p^2.
 
     Base primes come in two tiers.  Strided: each p up to the _sparse_split
     point writes every p-th member in one slice, or every member if p divides
@@ -117,7 +123,9 @@ def _sieve_class(lo, hi, residue, modulus):
     first, count = _progression(lo, hi, residue, modulus)
     flags = np.ones(count, dtype=bool)
     root = math.isqrt(first + modulus * (count - 1)) if count else 0
-    primes = _sieve_class(2, root + 1, 0, 1) if root >= 2 else np.empty(0, dtype=np.int64)
+    if primes is None:
+        primes = _sieve_class(2, root + 1, 0, 1) if root >= 2 else np.empty(0, dtype=np.int64)
+    primes = _base_slice(primes, root)
     split = _sparse_split(primes, count, modulus)
     for p in primes[:split].tolist():
         start = max(0, -((first - p * p) // modulus))  # first member >= p^2
@@ -157,27 +165,37 @@ def sieve_segment(lo, hi):
     return SieveSegment(lo, hi, totient_progression(lo, hi, 0, 1)[1])
 
 
-def primes_in_class(lo, hi, residue, modulus):
-    """All primes p in [lo, hi) with p congruent to residue mod modulus."""
+def primes_in_class(lo, hi, residue, modulus, primes=None):
+    """All primes p in [lo, hi) with p congruent to residue mod modulus.
+
+    primes, if given, must hold every prime up to at least sqrt(hi - 1) in
+    ascending order (base_primes of that bound or more); the sieve then
+    slices it instead of building its own base primes."""
     if modulus < 1 or not 0 <= residue < modulus:
         raise ValueError(f"invalid residue class {residue} mod {modulus}")
     _check_range(max(lo, 2), max(hi, 3))
-    return _sieve_class(max(lo, 2), hi, residue, modulus)
+    return _sieve_class(max(lo, 2), hi, residue, modulus, primes)
 
 
-def totient_progression(lo, hi, residue, modulus):
+def totient_progression(lo, hi, residue, modulus, at=None, primes=None):
     """Totients of every value v in [lo, hi) with v = residue (mod modulus).
 
     Requires gcd(residue, modulus) = 1 so the progression avoids the primes
     dividing the modulus entirely; array index j holds phi(first + modulus*j).
-    Returns (first, phi).
+    Returns (first, phi).  With at, an ascending array of such indices, phi
+    holds the totients of those members only, in that order: the sparse
+    strikes and the final division then touch only them, while the dense
+    and strided tiers, cheaper per member, still sweep every member (the
+    exotic search reads about one companion in eleven).  primes, if given,
+    must hold every prime up to at least sqrt(hi - 1) in ascending order; it
+    is sliced instead of calling base_primes.
 
     Bays & Hudson's progression sieve (BIT 1977) without division in the
     loop: each prime power p^e multiplies phi by p - 1 or p and the smooth
     part acc by p; v // acc is then 1 or v's one prime factor above sqrt(hi).
     Prime powers come in three tiers by how many members they hit.  Dense
     (p^e < _DENSE_BELOW), which touch most cache lines, run block by block
-    in cache, as does the final division.  Strided ones sweep the whole
+    in cache, as does the final division over every member.  Strided ones sweep the whole
     range once per power.  Sparse primes, each hitting fewer than
     _STRIDED_HITS members (see _sparse_split), are applied together from
     _sparse_strikes: a hit v of p gets phi *= (p - 1) * p^(e-1) and
@@ -189,15 +207,20 @@ def totient_progression(lo, hi, residue, modulus):
     if lo < 1 or hi <= lo or hi > MAX_SIEVE_VALUE:
         raise SieveRangeError(f"bad progression range [{lo}, {hi})")
     first, count = _progression(lo, hi, residue, modulus)
-    if count == 0:
+    if at is not None:
+        at = np.asarray(at, dtype=np.int64)
+        if at.size and not (0 <= at[0] and at[-1] < count and np.all(at[1:] > at[:-1])):
+            raise ValueError(f"at must ascend within the {count} members of [{lo}, {hi})")
+    if count == 0 or at is not None and at.size == 0:
         return first, np.empty(0, dtype=np.int64)
     top = first + modulus * (count - 1)
     phi = np.ones(count, dtype=np.int64)
     acc = np.ones(count, dtype=np.int64)
     dense = []  # (p^e, first index it divides, phi factor, p), run per block
     root = math.isqrt(hi - 1)
-    # below 4 the prime 2 is surplus, and harmless: acc holds exact p-parts
-    primes = base_primes(max(root, 2))
+    if primes is None:
+        primes = base_primes(max(root, 2))
+    primes = _base_slice(primes, root)
     split = _sparse_split(primes, count, modulus)
     for p in primes[:split].tolist():
         pe = p
@@ -211,7 +234,14 @@ def totient_progression(lo, hi, residue, modulus):
                 phi[j0::pe] *= p - 1 if pe == p else p
                 acc[j0::pe] *= p
             pe *= p
+    wanted = None
+    if at is not None:
+        wanted = np.zeros(count, dtype=bool)
+        wanted[at] = True
     for j, p in _sparse_strikes(first, modulus, count, primes[split:], from_square=False):
+        if wanted is not None:
+            keep = wanted[j]
+            j, p = j[keep], p[keep]
         np.multiply.at(phi, j, p - 1)
         np.multiply.at(acc, j, p)
         rest = (first + modulus * j) // p
@@ -225,8 +255,13 @@ def totient_progression(lo, hi, residue, modulus):
         for pe, j0, factor, p in dense:
             block_phi[(j0 - b0) % pe :: pe] *= factor
             block_acc[(j0 - b0) % pe :: pe] *= p
-        rem = (first + modulus * np.arange(b0, b0 + block_phi.size, dtype=np.int64)) // block_acc - 1
-        np.multiply(block_phi, rem, out=block_phi, where=rem > 0)
+        if at is None:
+            rem = (first + modulus * np.arange(b0, b0 + block_phi.size, dtype=np.int64)) // block_acc - 1
+            np.multiply(block_phi, rem, out=block_phi, where=rem > 0)
+    if at is not None:
+        phi, acc = phi[at], acc[at]
+        rem = (first + modulus * at) // acc - 1
+        np.multiply(phi, rem, out=phi, where=rem > 0)
     return first, phi
 
 

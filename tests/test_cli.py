@@ -117,7 +117,16 @@ class TestVerifyTheorem:
         code, out, err = run(capsys, *command, "--limit", str(10 ** 15))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: out of memory:") and err.count("\n") == 1
+        assert err.startswith("error: out of memory: phi table to ") and err.count("\n") == 1
+
+    # Just below the sieve maximum a table is past numpy's own size cap,
+    # where numpy raises ValueError, not MemoryError; both name the table.
+    def test_table_past_numpy_size_cap_exits_2(self, capsys):
+        limit = MAX_SIEVE_VALUE // 2 - 1
+        code, out, err = run(capsys, "solutions", "--limit", str(limit), "--method", "brute")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: out of memory: phi table to {2 * limit} needs {8 * (2 * limit + 1)} bytes\n"
 
     # At 10^23 the tables would hold values past the int64 sieve, which is
     # refused by name before any allocation.
@@ -188,6 +197,24 @@ class TestSearchExotic:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    # Refused before the base primes or any segment: a broken check would
+    # reach the failing stand-ins below instead of naming the path.
+    def test_unwritable_checkpoint_directory_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("sieved")
+
+        monkeypatch.setattr(diophantine, "_exotic_segment", fail)
+        monkeypatch.setattr(diophantine, "base_primes", fail)
+        path = tmp_path / "missing" / "x.ckpt"
+        code, out, err = run(
+            capsys, "search-exotic", "--from", "2", "--to", "1000", "--checkpoint", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: checkpoint {path}:") and err.count("\n") == 1
+        assert ".tmp" not in err
+        assert not (tmp_path / "missing").exists()
 
     def test_tampered_checkpoint_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "cp.txt"

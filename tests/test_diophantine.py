@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 
@@ -31,6 +32,7 @@ from gphi.sieve import (
     SegmentTooLargeError,
     SieveRangeError,
     read_checkpoint,
+    totient_progression,
     write_checkpoint,
 )
 
@@ -272,7 +274,67 @@ class TestExoticSearch:
         assert counts[0] == counts[1]
         assert counts[0]["primes_in_class"] == 1
 
-    # MAX_EXOTIC_SEGMENT is sized from a segment's peak of at most 2.5
+    # The 2-adic lemma behind sieving p = 15 (mod 16) only: from one phi
+    # table of the companions 6m+5, every hit m <= 10^6 is 0 or odd.
+    def test_companion_hits_are_0_or_odd(self):
+        limit = 10 ** 6
+        _, phi = totient_progression(5, 6 * limit + 6, 5, 6)
+        m = np.arange(limit + 1, dtype=np.int64)
+        hits = m[phi == 4 * m + 4].tolist()
+        assert hits == [0, 5, 215, 279935]
+        assert all(h == 0 or h % 2 for h in hits)
+
+    # The lemma's small cases: with at most two prime factors, 3*phi(q) =
+    # 2q + 2 holds only at q = 5 and q = 35 = 5 * 7, (5 - 3)(7 - 3) = 8.
+    def test_companions_with_two_primes_or_fewer(self):
+        limit = 10 ** 5
+        phi = sieve.sieve_segment(2, limit + 1).phi
+        omega = np.zeros(limit + 1, dtype=np.int64)
+        for p in sieve.base_primes(limit).tolist():
+            omega[p::p] += 1
+        q = np.arange(2, limit + 1, dtype=np.int64)
+        assert q[(omega[2:] <= 2) & (3 * phi == 2 * q + 2)].tolist() == [5, 35]
+
+    # m = 0 (p = 7) is the one hit outside the class 15 (mod 16).
+    @pytest.mark.parametrize("lo, hi, hits", [(2, 7, []), (7, 8, [0]), (2, 48, [0, 5]), (8, 48, [5]), (47, 48, [5])])
+    def test_segment_edges_at_the_small_hits(self, lo, hi, hits):
+        assert diophantine._exotic_segment((lo, hi)) == hits
+        assert diophantine._exotic_segment((lo, hi), sieve.base_primes(10)) == hits
+
+    # phi is evaluated only at the companions (3p - 1)/4 of the primes
+    # p = 15 (mod 16), along the progression 11 (mod 12).
+    def test_phi_only_at_prime_companions(self, monkeypatch):
+        calls = []
+        original = diophantine.totient_progression
+
+        def spy(lo, hi, residue, modulus, at=None, primes=None):
+            first, phi = original(lo, hi, residue, modulus, at=at, primes=primes)
+            calls.append((residue, modulus, [first + modulus * int(j) for j in at]))
+            return first, phi
+
+        monkeypatch.setattr(diophantine, "totient_progression", spy)
+        lo, hi = 10 ** 9, 10 ** 9 + 50_000
+        diophantine._exotic_segment((lo, hi))
+        companions = [(3 * p - 1) // 4 for p in range(lo + (15 - lo) % 16, hi, 16) if is_prime(p)]
+        assert calls == [(11, 12, companions)]
+
+    # A serial search builds its base primes once, up to the root of its
+    # largest value, and hands them to every segment: no kernel builds its own.
+    def test_search_builds_base_primes_once(self, monkeypatch):
+        calls = Counter()
+        bounds = []
+        for module in (sieve, diophantine):
+            for name in ("base_primes", "primes_in_class", "totient_progression"):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, f=original, n=name, **k: calls.update([n]) or f(*a, **k))
+        monkeypatch.setattr(diophantine, "base_primes", lambda limit, f=diophantine.base_primes: bounds.append(limit) or f(limit))
+        hi = 2 + 16 * (1 << 17)
+        witnesses = exotic_prime_search(2, hi, segment_size=1 << 17)
+        assert [w.m for w in witnesses] == [0, 5]
+        assert calls == {"base_primes": 1, "primes_in_class": 16, "totient_progression": 16}
+        assert len(bounds) == 1 and bounds[0] >= math.isqrt(hi - 1)
+
+    # MAX_EXOTIC_SEGMENT is sized from a segment's peak of at most 1.5
     # bytes per value of width; numpy reports its buffers to tracemalloc.
     def test_segment_peak_memory_per_value(self):
         lo, width = 9_900_000_000, 1 << 22
@@ -283,7 +345,7 @@ class TestExoticSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * width
+        assert peak <= 1.5 * width
 
     def test_checkpoint_resume_reproduces_hits(self, tmp_path):
         lo, hi, seg = 2, 3_000_000, 1 << 19

@@ -245,6 +245,124 @@ class TestSparseTier:
         self.check(lo, hi, v % modulus, modulus)
 
 
+def adjacent_primes_near(near, residue, modulus):
+    """Adjacent primes P < P2 below near with P*P2 = residue (mod modulus).
+    Around P*P2 the square root of the window's top lies in [P, P2), so P is
+    the largest base prime a kernel needs there, and P*P2 needs it."""
+    p2 = sympy.prevprime(near)
+    while True:
+        p = sympy.prevprime(p2)
+        if p * p2 % modulus == residue:
+            return p, p2
+        p2 = p
+
+
+class TestEvaluatedMembers:
+    """totient_progression(..., at=...) gives phi at the chosen members only,
+    equal to the full array at those indices and to scalar phi."""
+
+    @staticmethod
+    def check(lo, hi, residue, modulus, at):
+        first, full = totient_progression(lo, hi, residue, modulus)
+        at = np.asarray(at, dtype=np.int64)
+        got_first, phi = totient_progression(lo, hi, residue, modulus, at=at)
+        assert got_first == first
+        assert phi.dtype == np.int64 and phi.size == at.size
+        assert phi.tolist() == full[at].tolist()
+        assert phi.tolist() == [euler_phi(first + modulus * int(j)) for j in at]
+
+    @pytest.mark.parametrize("modulus", [1, 6, 12, 30])
+    @pytest.mark.parametrize("lo", [1, 10 ** 9 + 7, 10 ** 12])
+    def test_index_sets(self, lo, modulus):
+        residue = max(r for r in range(modulus) if math.gcd(r, modulus) == 1)
+        hi = lo + modulus * 3000
+        count = totient_progression(lo, hi, residue, modulus)[1].size
+        rng = random.Random(lo + modulus)
+        for at in ([], [0], [count - 1], [count // 2], [0, count - 1],
+                   sorted(rng.sample(range(count), 200)), range(count)):
+            self.check(lo, hi, residue, modulus, list(at))
+
+    # Members struck by sparse primes only, and all of them: these are
+    # where the strikes are filtered to the chosen members.
+    @pytest.mark.parametrize("modulus", [1, 6, 12, 30])
+    def test_sparse_tier_members(self, modulus):
+        v = 1009 ** 2 * 1013
+        residue = v % modulus
+        lo, hi = v - 100 * modulus, v + 100 * modulus + 1
+        first = lo + (residue - lo) % modulus
+        primes = base_primes(math.isqrt(hi - 1))
+        split = _sparse_split(primes, 201, modulus)
+        struck = sorted({int(j) for js, _ in _sparse_strikes(first, modulus, 201, primes[split:], False) for j in js})
+        assert (v - first) // modulus in struck
+        self.check(lo, hi, residue, modulus, struck)
+        self.check(lo, hi, residue, modulus, struck[1::2])
+        self.check(lo, hi, residue, modulus, [j for j in range(201) if j not in struck])
+
+    def test_empty_progression(self):
+        first, phi = totient_progression(6, 10, 5, 6, at=[])
+        assert phi.size == 0
+
+    @pytest.mark.parametrize("at", [[-1], [201], [3, 3], [5, 4]])
+    def test_rejects_indices_outside_or_out_of_order(self, at):
+        with pytest.raises(ValueError, match="at must ascend"):
+            totient_progression(10 ** 6, 10 ** 6 + 6 * 201, 5, 6, at=at)
+
+
+class TestGivenBasePrimes:
+    """Both kernels, handed the base primes of a larger bound (as a search
+    builds them once), equal their self-built results and the scalar
+    oracles; windows around P*P2 need the largest base prime P."""
+
+    CLASSES = [(0, 1), (5, 6), (11, 12), (15, 16), (7, 30)]
+
+    @pytest.mark.parametrize("residue, modulus", CLASSES)
+    def test_window_needing_the_largest_base_prime(self, residue, modulus):
+        p, p2 = adjacent_primes_near(10 ** 6, residue, modulus)
+        v = p * p2
+        lo, hi = v - 60 * modulus, v + 60 * modulus + 1
+        assert p <= math.isqrt(hi - 1) < p2
+        first, phi = totient_progression(lo, hi, residue, modulus)
+        members = range(first, hi, modulus)
+        assert phi.tolist() == [euler_phi(x) for x in members]
+        assert primes_in_class(lo, hi, residue, modulus).tolist() == [x for x in members if sympy.isprime(x)]
+        at = np.arange(0, phi.size, 7)
+        for bound in (p, p2 - 1, 4 * p2):
+            given = base_primes(bound)
+            assert np.array_equal(totient_progression(lo, hi, residue, modulus, primes=given)[1], phi)
+            assert np.array_equal(totient_progression(lo, hi, residue, modulus, at=at, primes=given)[1], phi[at])
+            assert np.array_equal(primes_in_class(lo, hi, residue, modulus, given),
+                                  primes_in_class(lo, hi, residue, modulus))
+
+    def test_does_not_build_its_own(self, monkeypatch):
+        given = base_primes(10 ** 5)
+        monkeypatch.setattr(sieve, "base_primes", None)
+        first, phi = totient_progression(10 ** 9, 10 ** 9 + 12 * 500, 11, 12, primes=given)
+        assert phi.tolist() == [euler_phi(first + 12 * j) for j in range(phi.size)]
+        calls = []
+        monkeypatch.setattr(sieve, "_sieve_class", lambda *a, f=sieve._sieve_class: calls.append(a) or f(*a))
+        primes_in_class(10 ** 9, 10 ** 9 + 16 * 500, 15, 16, given)
+        assert len(calls) == 1
+
+
+class TestSearchClasses:
+    """The exotic search's classes: primes 15 (mod 16) and their companions
+    (3p - 1)/4, which lie in 11 (mod 12), on windows near 10^12."""
+
+    @pytest.mark.parametrize("lo", [10 ** 12, 10 ** 12 + 10 ** 6 + 3])
+    def test_primes_15_mod_16(self, lo):
+        hi = lo + 16 * 400
+        got = primes_in_class(lo, hi, 15, 16).tolist()
+        assert got == [p for p in range(lo + (15 - lo) % 16, hi, 16) if sympy.isprime(p)]
+        assert {(3 * p - 1) // 4 % 12 for p in got} == {11}
+
+    @pytest.mark.parametrize("lo", [10 ** 12, 10 ** 12 + 10 ** 6 + 3])
+    def test_totients_11_mod_12(self, lo):
+        hi = lo + 12 * 400
+        first, phi = totient_progression(lo, hi, 11, 12)
+        assert first % 12 == 11
+        assert phi.tolist() == [euler_phi(q) for q in range(first, hi, 12)]
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "search.ckpt"
