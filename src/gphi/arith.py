@@ -8,7 +8,6 @@ are reproducible and concurrent calls never contend.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -23,6 +22,8 @@ NATURAL_BITS = 192
 NATURAL_MAX = (1 << NATURAL_BITS) - 1
 
 TRIAL_DIVISION_BOUND = 1000
+# Python ints: an int64 trial divisor overflows against a wide cofactor.
+_TRIAL_PRIMES = base_primes(TRIAL_DIVISION_BOUND).tolist()
 
 
 class NaturalOverflowError(OverflowError):
@@ -34,12 +35,6 @@ def _check_natural(n):
         raise TypeError(f"expected an integer, got {type(n).__name__}")
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n}")
-
-
-@functools.cache
-def _primes_below(bound):
-    # Python ints: an int64 trial divisor overflows against a wide cofactor.
-    return base_primes(bound).tolist() if bound >= 2 else []
 
 
 # Strong-pseudoprime bases, and pairs (psi_k, k): psi_k is the least strong
@@ -191,7 +186,7 @@ def factorize(n):
     twos = (n & -n).bit_length() - 1
     found = {2: twos} if twos else {}
     cof = n >> twos
-    for p in _primes_below(TRIAL_DIVISION_BOUND):
+    for p in _TRIAL_PRIMES:
         if p * p > cof:
             if cof > 1:  # no prime factor below p: cof is prime
                 found[cof] = 1

@@ -236,7 +236,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     elapsed_ms = int((time.monotonic() - started) * 1000)
     parameters = {

@@ -5,8 +5,8 @@ equation directly from bulk totient tables and never consults the
 classifier.  classify() goes the other way, matching n against the known
 solution shapes and then confirming every positive match against the
 equation, so a transcription bug turns into a loud error instead of a
-wrong answer.  classify_range() is its vectorized twin for whole sweeps,
-held to the scalar classify on a sample of every range it classifies.
+wrong answer.  classify_range() classifies whole sweeps from the family
+index and the exotic search, held to classify on a sample of each range.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -69,15 +70,13 @@ def is_solution(n):
 
 
 def _phi_table(limit):
-    """phi(v) for all v <= limit, indexed by value (phi[0] unused)."""
+    """phi(v) for 2 <= v <= limit, indexed by value (phi[0] and phi[1] unused)."""
     if limit >= MAX_SIEVE_VALUE:
         raise SieveRangeError(f"phi table to {limit} reaches the sieve maximum {MAX_SIEVE_VALUE}")
     try:
         phi = np.zeros(limit + 1, dtype=np.int64)
     except (MemoryError, ValueError) as exc:  # numpy raises ValueError past its size cap
         raise MemoryError(f"phi table to {limit} needs {8 * (limit + 1)} bytes") from exc
-    if limit >= 1:
-        phi[1] = 1
     for lo in range(2, limit + 1, DEFAULT_SEGMENT_SIZE):
         hi = min(lo + DEFAULT_SEGMENT_SIZE, limit + 1)
         phi[lo:hi] = sieve_segment(lo, hi).phi
@@ -127,8 +126,8 @@ _EXOTIC_SHAPES = {SolutionKind.EXOTIC_A: (8, 7), SolutionKind.EXOTIC_B: (6, 5)}
 
 
 def _is_exotic(m):
-    """p = 8m+7 is prime and phi(6m+5) = 4m+4; _exotic_segment and _exotic_mask
-    are its vectorized forms."""
+    """p = 8m+7 is prime and phi(6m+5) = 4m+4: the scalar reference of
+    _exotic_segment, its one vectorized form."""
     return is_prime(8 * m + 7) and euler_phi(6 * m + 5) == 4 * m + 4
 
 
@@ -177,20 +176,14 @@ def classify(n):
 _RANGE_SAMPLE_SIZE = 1024
 
 
-def _exotic_mask(phi, m):
-    """_is_exotic over an array of m, read from a phi table that reaches 8m+7."""
-    p = 8 * m + 7
-    return (phi[p] == p - 1) & (phi[6 * m + 5] == 4 * m + 4)
-
-
 def classify_range(limit):
     """{n: classify(n)} for every n <= limit that classify calls a solution,
     in ascending order.
 
-    Family members come from the family index.  An exotic odd part is
-    q = a*m + b <= limit // 2 with _is_exotic(m), tested for all m at once
-    over one phi table to (4 * (limit // 2) + 1) // 3, where the largest
-    8m+7 lies; family odd parts are left out and the shapes are tried in
+    Family members come from the family index, exotic odd parts a*m + b
+    <= limit // 2 from exotic_prime_search to their largest p = 8m+7; that
+    search rests on the odd-m lemma of _exotic_segment, which the oracle
+    checks too.  Family odd parts are left out and the shapes are tried in
     classify's order.  Every positive is re-confirmed against the equation,
     and a sample of the range seeded by limit is checked against classify.
     """
@@ -198,11 +191,12 @@ def classify_range(limit):
     # then the shapes in order, take precedence as they do in classify.
     odd_parts = {q: (kind, least, None) for q, (kind, least) in _FAMILY_BY_ODD_PART.items()}
     top = max(limit, 0) // 2
-    phi = _phi_table((4 * top + 1) // 3)
+    if (hi := (4 * top + 1) // 3 + 1) > MAX_SEARCH_VALUE:
+        raise SieveRangeError(f"limit {limit} needs p below {hi}, past the search maximum {MAX_SEARCH_VALUE}")
+    hits = [w.m for w in exotic_prime_search(2, hi)] if top >= 2 else []
     for shape, (a, b) in _EXOTIC_SHAPES.items():
-        m = np.arange((top - b) // a + 1, dtype=np.int64)
-        for hit in m[_exotic_mask(phi, m)].tolist():
-            odd_parts.setdefault(a * hit + b, (shape, 1, hit))
+        for m in hits:  # an odd part above top gives no n <= limit below
+            odd_parts.setdefault(a * m + b, (shape, 1, m))
     classes = {}
     for q, (kind, ell, m) in odd_parts.items():
         while q << ell <= limit:
@@ -354,7 +348,15 @@ def _init_worker(primes):
 
 
 def _worker_segment(bounds):
-    return _exotic_segment(bounds, _worker_primes)
+    return bounds, _exotic_segment(bounds, _worker_primes)
+
+
+def _pool_segments(pool, segments, window):
+    """(bounds, hits) of each segment in order, read lazily, at most window in flight."""
+    pending = [pool.submit(_worker_segment, b) for b in islice(segments, window)]
+    while pending:
+        yield pending.pop(0).result()
+        pending += [pool.submit(_worker_segment, b) for b in islice(segments, 1)]
 
 
 def exotic_prime_search(
@@ -372,8 +374,8 @@ def exotic_prime_search(
     (hits other than m = 0 have odd m, see _exotic_segment) and phi is
     sieved at their companions q = (3p-1)/4 along the progression 11 mod 12.
     The base primes up to sqrt(hi) are built once per search and shared by
-    every segment.  Results are merged in ascending range order regardless
-    of worker scheduling; a checkpoint file makes the search resumable.
+    every segment.  A pool is fed segments lazily and its results merge in
+    ascending range order; a checkpoint file makes the search resumable.
     max_segments limits how many segments run (for tests and partial runs).
     """
     if not 2 <= lo < hi:
@@ -402,16 +404,17 @@ def exotic_prime_search(
         _check_resume(cp, lo, hi, segment_size)
         start = cp.last_completed_hi
         hits = list(cp.hits)
-    segments = [(a, min(a + segment_size, hi)) for a in range(start, hi, segment_size)[:max_segments]]
+    starts = range(start, hi, segment_size)[:max_segments]
+    segments = ((a, min(a + segment_size, hi)) for a in starts)
     # p < hi and q < p: one array covers the roots of both ranges
-    primes = base_primes(max(math.isqrt(hi - 1), 2)) if segments else None
+    primes = base_primes(max(math.isqrt(hi - 1), 2)) if starts else None
     pool = ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(primes,)) if jobs > 1 else None
     with pool or nullcontext():
         if pool:
-            results = pool.map(_worker_segment, segments)
+            results = _pool_segments(pool, segments, 4 * jobs)
         else:
-            results = (_exotic_segment(bounds, primes) for bounds in segments)
-        for (seg_lo, seg_hi), seg_hits in zip(segments, results):
+            results = ((bounds, _exotic_segment(bounds, primes)) for bounds in segments)
+        for (seg_lo, seg_hi), seg_hits in results:
             hits.extend(seg_hits)
             if checkpoint_path is not None:
                 write_checkpoint(checkpoint_path, SearchCheckpoint(search_id, seg_hi, tuple(hits)))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gphi import arith, diophantine
+from gphi import arith, cli, diophantine
 from gphi.cli import MAX_JOBS, main, resolve_jobs
 from gphi.diophantine import SolutionClass, SolutionKind
 from gphi.sieve import MAX_SIEVE_VALUE
@@ -106,12 +106,11 @@ class TestVerifyTheorem:
         assert out == ""
         assert err.startswith("error: inconsistency:") and err.count("\n") == 1
 
-    # At 10^15 the phi tables would take 4.7 to 14 PiB, more than any
-    # address space, so the first allocation fails at once.
+    # At 10^15 the brute-force phi table would take 14 PiB, more than any
+    # address space, so its allocation fails at once.
     @pytest.mark.parametrize("command", [
         ("verify-theorem",),
         ("solutions", "--method", "brute"),
-        ("solutions", "--method", "classify"),
     ])
     def test_unallocatable_limit_exits_2(self, capsys, command):
         code, out, err = run(capsys, *command, "--limit", str(10 ** 15))
@@ -128,12 +127,11 @@ class TestVerifyTheorem:
         assert out == ""
         assert err == f"error: out of memory: phi table to {2 * limit} needs {8 * (2 * limit + 1)} bytes\n"
 
-    # At 10^23 the tables would hold values past the int64 sieve, which is
+    # At 10^23 the table would hold values past the int64 sieve, which is
     # refused by name before any allocation.
     @pytest.mark.parametrize("command", [
         ("verify-theorem",),
         ("solutions", "--method", "brute"),
-        ("solutions", "--method", "classify"),
     ])
     def test_limit_past_the_sieve_maximum_exits_2(self, capsys, command):
         code, out, err = run(capsys, *command, "--limit", str(10 ** 23))
@@ -141,6 +139,38 @@ class TestVerifyTheorem:
         assert out == ""
         assert err.startswith("error: phi table to ") and err.count("\n") == 1
         assert str(MAX_SIEVE_VALUE) in err
+
+    # The classifier builds no table: at 10^15 it asks the exotic search,
+    # stubbed here, for every p = 8m+7 that an odd part <= limit // 2 needs.
+    def test_classify_asks_the_exotic_search(self, capsys, monkeypatch):
+        limit = 10 ** 15
+        asked = []
+        monkeypatch.setattr(diophantine, "exotic_prime_search", lambda *a, **k: asked.append((a, k)) or [])
+        monkeypatch.setattr(diophantine, "_phi_table", lambda top: pytest.fail(f"phi table to {top}"))
+        code, out, err = run(capsys, "solutions", "--limit", str(limit), "--method", "classify")
+        records, _ = json_records(out)
+        assert (code, err) == (0, "")
+        assert asked == [((2, (4 * (limit // 2) + 1) // 3 + 1), {})]
+        family_members = {q << ell for q, least in diophantine.FAMILIES.values()
+                          for ell in range(least, limit.bit_length()) if q << ell <= limit}
+        assert [r["n"] for r in records] == sorted(family_members)
+
+    # At 10^23 the exotic search would pass the int64 bound of its tripled
+    # values; the classifier refuses the limit by name before searching.
+    def test_classify_limit_past_the_search_maximum_exits_2(self, capsys):
+        code, out, err = run(capsys, "solutions", "--limit", str(10 ** 23), "--method", "classify")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: limit {10 ** 23} ") and err.count("\n") == 1
+        assert str(diophantine.MAX_SEARCH_VALUE) in err
+
+    # A MemoryError without text gets no dangling separator.
+    def test_bare_memory_error_exits_2(self, capsys, monkeypatch):
+        def no_memory(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_cmd_search_relaxed", no_memory)
+        assert run(capsys, "search-relaxed", "--limit", "10") == (2, "", "error: out of memory\n")
 
 
 class TestSearchExotic:

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -168,6 +169,16 @@ class TestClassifyRange:
     def test_disagreement_with_classify_raises(self, monkeypatch):
         scalar = diophantine.classify
         monkeypatch.setattr(diophantine, "classify", lambda n: SolutionClass(SolutionKind.NOT_SOLUTION, v2(n)) if n == 70 else scalar(n))
+        with pytest.raises(InternalInconsistencyError, match="classify_range"):
+            classify_range(100)
+
+    def test_a_search_that_misses_a_hit_is_caught(self, monkeypatch):
+        # Without the family index only the search gives the odd parts 35
+        # and 47 (m = 5); the scalar classify still finds 70 and 94.
+        monkeypatch.setattr(diophantine, "_FAMILY_BY_ODD_PART", {})
+        search = diophantine.exotic_prime_search
+        monkeypatch.setattr(diophantine, "exotic_prime_search",
+                            lambda lo, hi: [w for w in search(lo, hi) if w.m != 5])
         with pytest.raises(InternalInconsistencyError, match="classify_range"):
             classify_range(100)
 
@@ -346,6 +357,28 @@ class TestExoticSearch:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * width
+
+    # Segments are made as they run: stopped after its first segment, a
+    # search to 10^15 (about 2.4 * 10^8 segments) returns at once, its
+    # parent holding little more than the base primes to sqrt(10^15).
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_segments_stream_lazily(self, jobs):
+        class Stop(Exception):
+            pass
+
+        def stop(*event):
+            raise Stop(event)
+
+        started = time.monotonic()
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                exotic_prime_search(2, 10 ** 15, jobs=jobs, progress=stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
+        assert time.monotonic() - started < 30
 
     def test_checkpoint_resume_reproduces_hits(self, tmp_path):
         lo, hi, seg = 2, 3_000_000, 1 << 19

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from gphi import sieve
-from gphi.arith import _primes_below, euler_phi
+from gphi.arith import _TRIAL_PRIMES, euler_phi
 from gphi.sieve import (
     _BLOCK,
     _STRIDED_HITS,
@@ -50,10 +50,9 @@ class TestBasePrimes:
             assert base_primes(limit).tolist() == primes[: bisect.bisect_right(primes, limit)], limit
 
     def test_is_the_trial_division_source(self):
-        primes = _primes_below(1000)
-        assert primes == base_primes(1000).tolist()
+        assert _TRIAL_PRIMES == base_primes(1000).tolist()
         # int64 trial divisors would overflow against wide cofactors
-        assert all(type(p) is int for p in primes)
+        assert all(type(p) is int for p in _TRIAL_PRIMES)
 
 
 class TestSieveSegment:
