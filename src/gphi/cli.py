@@ -8,7 +8,8 @@ appends one summary line whose only nondeterministic field is elapsed_ms,
 CSV mode sends the summary to stderr.
 
 Exit codes: 0 success, 1 verification failure or search inconsistency,
-2 usage or parameter error, including a limit whose tables cannot be allocated.
+2 usage or parameter error, including a limit whose tables cannot be allocated
+and a search worker that died (the out-of-memory killer is the likely cause).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 
 from . import arith, diophantine, orbits
 from .diophantine import MAX_JOBS, SolutionKind
@@ -237,6 +239,10 @@ def main(argv=None):
         return 2
     except MemoryError as exc:
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
+    except BrokenExecutor:
+        print("error: a worker process died; a --checkpoint keeps the segments finished before it",
+              file=sys.stderr)
         return 2
     elapsed_ms = int((time.monotonic() - started) * 1000)
     parameters = {

@@ -45,8 +45,8 @@ MAX_JOBS = 256
 # value of width (1.36 at 2^22 wide near 10^10, 1.31 at 2^24), nearly all of
 # it phi and acc of the one-in-sixteen companions of odd m (the prime flags
 # of the class 15 mod 16 take 1/16 byte), so its arrays stay near 600 MB.
-# The search's base primes, built once and shared by every segment, come on
-# top: 8 bytes per prime up to sqrt(hi).
+# The base primes come on top: the cache of sieve.base_primes, which outlives
+# the search, at 8 bytes per prime up to sqrt(MAX_SEARCH_VALUE) at most.
 MAX_EXOTIC_SEGMENT = 400_000_000
 
 # Both searches triple values in int64 (3p - 1 in _exotic_segment, 3*phi(n)
@@ -311,7 +311,7 @@ class ExoticWitness:
     q: int
 
 
-def _exotic_segment(bounds, primes=None):
+def _exotic_segment(bounds):
     """Hits m with 8m+7 prime in [lo, hi) and phi(6m+5) = 4m+4, ascending.
 
     Only odd m are sieved, by a 2-adic lemma: every m > 0 with
@@ -324,39 +324,26 @@ def _exotic_segment(bounds, primes=None):
     q = (3p-1)/4 lie in the progression 11 (mod 12); p = 7 (m = 0) is
     checked on its own with the scalar _is_exotic.
 
-    phi is evaluated only at the companions of the primes found, and both
-    kernels slice primes, the search's base primes, when it is given."""
+    phi is evaluated only at the companions of the primes found; both
+    kernels slice their base primes from the cache of base_primes."""
     lo, hi = bounds
     hits = [0] if lo <= 7 < hi and _is_exotic(0) else []
-    p = primes_in_class(lo, hi, 15, 16, primes)
+    p = primes_in_class(lo, hi, 15, 16)
     if p.size == 0:
         return hits
     q = (3 * p - 1) // 4
     first = int(q[0])
-    _, phi = totient_progression(first, int(q[-1]) + 1, 11, 12, at=(q - first) // 12, primes=primes)
+    _, phi = totient_progression(first, int(q[-1]) + 1, 11, 12, at=(q - first) // 12)
     return hits + ((p[phi == (p + 1) // 2] - 7) // 8).tolist()
-
-
-# The search's base primes in a pool worker, set once per worker by the
-# pool initializer so that no task pickles them.
-_worker_primes = None
-
-
-def _init_worker(primes):
-    global _worker_primes
-    _worker_primes = primes
-
-
-def _worker_segment(bounds):
-    return bounds, _exotic_segment(bounds, _worker_primes)
 
 
 def _pool_segments(pool, segments, window):
     """(bounds, hits) of each segment in order, read lazily, at most window in flight."""
-    pending = [pool.submit(_worker_segment, b) for b in islice(segments, window)]
+    pending = [(b, pool.submit(_exotic_segment, b)) for b in islice(segments, window)]
     while pending:
-        yield pending.pop(0).result()
-        pending += [pool.submit(_worker_segment, b) for b in islice(segments, 1)]
+        bounds, future = pending.pop(0)
+        yield bounds, future.result()
+        pending += [(b, pool.submit(_exotic_segment, b)) for b in islice(segments, 1)]
 
 
 def exotic_prime_search(
@@ -373,9 +360,10 @@ def exotic_prime_search(
     Segment by segment, the p-range is sieved for primes in class 15 mod 16
     (hits other than m = 0 have odd m, see _exotic_segment) and phi is
     sieved at their companions q = (3p-1)/4 along the progression 11 mod 12.
-    The base primes up to sqrt(hi) are built once per search and shared by
-    every segment.  A pool is fed segments lazily and its results merge in
-    ascending range order; a checkpoint file makes the search resumable.
+    The base primes up to sqrt(hi) fill the cache of base_primes before any
+    segment runs, so segments, and forked pool workers, slice it.  A pool is
+    fed segments lazily and its results merge in ascending range order; a
+    checkpoint file makes the search resumable.
     max_segments limits how many segments run (for tests and partial runs).
     """
     if not 2 <= lo < hi:
@@ -406,14 +394,14 @@ def exotic_prime_search(
         hits = list(cp.hits)
     starts = range(start, hi, segment_size)[:max_segments]
     segments = ((a, min(a + segment_size, hi)) for a in starts)
-    # p < hi and q < p: one array covers the roots of both ranges
-    primes = base_primes(max(math.isqrt(hi - 1), 2)) if starts else None
-    pool = ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(primes,)) if jobs > 1 else None
+    if starts:  # p < hi and q < p: one build covers the roots of both ranges
+        base_primes(max(math.isqrt(hi - 1), 2))
+    pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
     with pool or nullcontext():
         if pool:
             results = _pool_segments(pool, segments, 4 * jobs)
         else:
-            results = ((bounds, _exotic_segment(bounds, primes)) for bounds in segments)
+            results = ((bounds, _exotic_segment(bounds)) for bounds in segments)
         for (seg_lo, seg_hi), seg_hits in results:
             hits.extend(seg_hits)
             if checkpoint_path is not None:

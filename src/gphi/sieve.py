@@ -37,12 +37,31 @@ class SegmentTooLargeError(ValueError):
 
 
 def base_primes(limit):
-    """All primes <= limit, ascending, as an int64 array."""
+    """All primes <= limit, ascending: a read-only int64 slice of the cache."""
     if limit < 2:
         raise SieveRangeError(f"base_primes needs limit >= 2, got {limit}")
     if limit > MAX_SIEVE_VALUE:
         raise SieveRangeError(f"limit {limit} above supported maximum")
-    return _sieve_class(2, limit + 1, 0, 1)
+    return _primes_to(limit)
+
+
+# The largest base primes built so far, (bound, every prime <= bound): one tuple,
+# replaced in one statement, so no reader sees a bound without its array.
+_cache = (1, np.empty(0, dtype=np.int64))
+
+
+def _primes_to(limit):
+    """The primes <= limit, read-only, sliced from _cache after rebuilding it
+    to limit if limit is above its bound.  _sieve_class takes its base primes
+    here, not from the public base_primes, so that a cold and a warm cache
+    give the same base_primes call counts."""
+    global _cache
+    bound, primes = _cache
+    if limit > bound:
+        primes = _sieve_class(2, limit + 1, 0, 1)
+        primes.flags.writeable = False
+        _cache = (limit, primes)
+    return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
 
 def _progression(lo, hi, residue, modulus):
@@ -103,16 +122,11 @@ def _sparse_strikes(first, modulus, count, primes, from_square):
         yield np.cumsum(step, out=step), ps
 
 
-def _base_slice(primes, root):
-    """The primes <= root of an ascending array that reaches at least root."""
-    return primes[: int(np.searchsorted(primes, root, side="right"))]
-
-
-def _sieve_class(lo, hi, residue, modulus, primes=None):
+def _sieve_class(lo, hi, residue, modulus):
     """Primes p = residue (mod modulus) in [lo, hi), lo >= 2, ascending, from one
-    flag per member of the class.  Each base prime p, itself from this sieve
-    unless the caller passes all primes up to at least sqrt of the largest
-    member, strikes its multiples in the class from the first at or above p^2.
+    flag per member of the class.  Each base prime p, from the cache of
+    _primes_to (itself filled by this sieve), strikes its multiples in the
+    class from the first at or above p^2.
 
     Base primes come in two tiers.  Strided: each p up to the _sparse_split
     point writes every p-th member in one slice, or every member if p divides
@@ -122,10 +136,7 @@ def _sieve_class(lo, hi, residue, modulus, primes=None):
     _STRIDED_HITS members each, are struck together by _sparse_strikes."""
     first, count = _progression(lo, hi, residue, modulus)
     flags = np.ones(count, dtype=bool)
-    root = math.isqrt(first + modulus * (count - 1)) if count else 0
-    if primes is None:
-        primes = _sieve_class(2, root + 1, 0, 1) if root >= 2 else np.empty(0, dtype=np.int64)
-    primes = _base_slice(primes, root)
+    primes = _primes_to(math.isqrt(first + modulus * (count - 1)) if count else 0)
     split = _sparse_split(primes, count, modulus)
     for p in primes[:split].tolist():
         start = max(0, -((first - p * p) // modulus))  # first member >= p^2
@@ -165,19 +176,16 @@ def sieve_segment(lo, hi):
     return SieveSegment(lo, hi, totient_progression(lo, hi, 0, 1)[1])
 
 
-def primes_in_class(lo, hi, residue, modulus, primes=None):
-    """All primes p in [lo, hi) with p congruent to residue mod modulus.
-
-    primes, if given, must hold every prime up to at least sqrt(hi - 1) in
-    ascending order (base_primes of that bound or more); the sieve then
-    slices it instead of building its own base primes."""
+def primes_in_class(lo, hi, residue, modulus):
+    """All primes p in [lo, hi) with p congruent to residue mod modulus; the
+    base primes are sliced from the cache of base_primes."""
     if modulus < 1 or not 0 <= residue < modulus:
         raise ValueError(f"invalid residue class {residue} mod {modulus}")
     _check_range(max(lo, 2), max(hi, 3))
-    return _sieve_class(max(lo, 2), hi, residue, modulus, primes)
+    return _sieve_class(max(lo, 2), hi, residue, modulus)
 
 
-def totient_progression(lo, hi, residue, modulus, at=None, primes=None):
+def totient_progression(lo, hi, residue, modulus, at=None):
     """Totients of every value v in [lo, hi) with v = residue (mod modulus).
 
     Requires gcd(residue, modulus) = 1 so the progression avoids the primes
@@ -186,9 +194,8 @@ def totient_progression(lo, hi, residue, modulus, at=None, primes=None):
     holds the totients of those members only, in that order: the sparse
     strikes and the final division then touch only them, while the dense
     and strided tiers, cheaper per member, still sweep every member (the
-    exotic search reads about one companion in eleven).  primes, if given,
-    must hold every prime up to at least sqrt(hi - 1) in ascending order; it
-    is sliced instead of calling base_primes.
+    exotic search reads about one companion in eleven).  The base primes
+    up to sqrt(hi - 1) come from base_primes, a slice of its cache.
 
     Bays & Hudson's progression sieve (BIT 1977) without division in the
     loop: each prime power p^e multiplies phi by p - 1 or p and the smooth
@@ -217,10 +224,7 @@ def totient_progression(lo, hi, residue, modulus, at=None, primes=None):
     phi = np.ones(count, dtype=np.int64)
     acc = np.ones(count, dtype=np.int64)
     dense = []  # (p^e, first index it divides, phi factor, p), run per block
-    root = math.isqrt(hi - 1)
-    if primes is None:
-        primes = base_primes(max(root, 2))
-    primes = _base_slice(primes, root)
+    primes = base_primes(max(math.isqrt(hi - 1), 2))
     split = _sparse_split(primes, count, modulus)
     for p in primes[:split].tolist():
         pe = p

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -25,6 +26,11 @@ def misclassify_70(monkeypatch):
     """The family index both classifiers read, broken to start family 35 at
     ell = 2, so the range and the scalar classifier both miss the solution 70."""
     monkeypatch.setitem(diophantine._FAMILY_BY_ODD_PART, 35, (SolutionKind.FAMILY_35, 2))
+
+
+def die(bounds):
+    """A segment whose worker process dies at once, as under the OOM killer."""
+    os._exit(9)
 
 
 def strip_timing(out):
@@ -227,6 +233,13 @@ class TestSearchExotic:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_dead_worker_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(diophantine, "_exotic_segment", die)
+        code, out, err = run(capsys, "search-exotic", "--from", "2", "--to", "1000000", "--jobs", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a worker process died") and err.count("\n") == 1
 
     # Refused before the base primes or any segment: a broken check would
     # reach the failing stand-ins below instead of naming the path.

@@ -270,20 +270,22 @@ class TestExoticSearch:
         assert (tmp_path / "parallel").read_bytes() == (tmp_path / "resumed").read_bytes() == final
 
     # The benchmark's traced run requires the same call counts for every
-    # exotic window; a sieve recursing through its public names would call
-    # them more often the higher the window.
-    def test_segment_calls_do_not_grow_with_height(self, monkeypatch):
+    # exotic window and every state of the base-prime cache (cold at 2,
+    # grown at the higher window, then warm); a sieve recursing through its
+    # public names would call them more often the higher the window, or the
+    # colder the cache.
+    def test_segment_calls_do_not_grow_with_height(self, monkeypatch, cold_base_primes):
         calls = Counter()
-        for module, name in ((sieve, "base_primes"), (sieve, "primes_in_class"), (diophantine, "primes_in_class")):
-            original = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, f=original, n=name: calls.update([n]) or f(*a))
+        for module in (sieve, diophantine):
+            for name in ("base_primes", "primes_in_class", "totient_progression"):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, f=original, n=name, **k: calls.update([n]) or f(*a, **k))
         counts = []
-        for lo in (2, 9_900_000_000):
+        for lo in (2, 9_900_000_000, 9_900_000_000):
             calls.clear()
             diophantine._exotic_segment((lo, lo + (1 << 20)))
             counts.append(dict(calls))
-        assert counts[0] == counts[1]
-        assert counts[0]["primes_in_class"] == 1
+        assert counts == 3 * [{"base_primes": 1, "primes_in_class": 1, "totient_progression": 1}]
 
     # The 2-adic lemma behind sieving p = 15 (mod 16) only: from one phi
     # table of the companions 6m+5, every hit m <= 10^6 is 0 or odd.
@@ -310,7 +312,6 @@ class TestExoticSearch:
     @pytest.mark.parametrize("lo, hi, hits", [(2, 7, []), (7, 8, [0]), (2, 48, [0, 5]), (8, 48, [5]), (47, 48, [5])])
     def test_segment_edges_at_the_small_hits(self, lo, hi, hits):
         assert diophantine._exotic_segment((lo, hi)) == hits
-        assert diophantine._exotic_segment((lo, hi), sieve.base_primes(10)) == hits
 
     # phi is evaluated only at the companions (3p - 1)/4 of the primes
     # p = 15 (mod 16), along the progression 11 (mod 12).
@@ -318,8 +319,8 @@ class TestExoticSearch:
         calls = []
         original = diophantine.totient_progression
 
-        def spy(lo, hi, residue, modulus, at=None, primes=None):
-            first, phi = original(lo, hi, residue, modulus, at=at, primes=primes)
+        def spy(lo, hi, residue, modulus, at=None):
+            first, phi = original(lo, hi, residue, modulus, at=at)
             calls.append((residue, modulus, [first + modulus * int(j) for j in at]))
             return first, phi
 
@@ -329,20 +330,30 @@ class TestExoticSearch:
         companions = [(3 * p - 1) // 4 for p in range(lo + (15 - lo) % 16, hi, 16) if is_prime(p)]
         assert calls == [(11, 12, companions)]
 
-    # A serial search builds its base primes once, up to the root of its
-    # largest value, and hands them to every segment: no kernel builds its own.
-    def test_search_builds_base_primes_once(self, monkeypatch):
-        calls = Counter()
-        bounds = []
-        for module in (sieve, diophantine):
-            for name in ("base_primes", "primes_in_class", "totient_progression"):
-                original = getattr(module, name)
-                monkeypatch.setattr(module, name, lambda *a, f=original, n=name, **k: calls.update([n]) or f(*a, **k))
-        monkeypatch.setattr(diophantine, "base_primes", lambda limit, f=diophantine.base_primes: bounds.append(limit) or f(limit))
+    # A search builds its base primes once, up to the root of its largest
+    # value, before any segment runs: no segment, in this process or in a
+    # forked worker, builds its own.  A build is a modulus-1 class sieve
+    # outside another one (each build sieves its own root first); the log
+    # file also collects the builds of workers.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_search_builds_base_primes_once(self, jobs, monkeypatch, tmp_path, cold_base_primes):
+        log, depth, original = tmp_path / "builds", [0], sieve._sieve_class
+
+        def spy(lo, hi, residue, modulus):
+            if modulus == 1 and not depth[0]:
+                with open(log, "a") as fh:
+                    fh.write(f"{hi - 1}\n")
+            depth[0] += modulus == 1
+            try:
+                return original(lo, hi, residue, modulus)
+            finally:
+                depth[0] -= modulus == 1
+
+        monkeypatch.setattr(sieve, "_sieve_class", spy)
         hi = 2 + 16 * (1 << 17)
-        witnesses = exotic_prime_search(2, hi, segment_size=1 << 17)
+        witnesses = exotic_prime_search(2, hi, segment_size=1 << 17, jobs=jobs)
         assert [w.m for w in witnesses] == [0, 5]
-        assert calls == {"base_primes": 1, "primes_in_class": 16, "totient_progression": 16}
+        bounds = [int(b) for b in log.read_text().split()]
         assert len(bounds) == 1 and bounds[0] >= math.isqrt(hi - 1)
 
     # MAX_EXOTIC_SEGMENT is sized from a segment's peak of at most 1.5

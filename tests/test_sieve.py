@@ -307,40 +307,58 @@ class TestEvaluatedMembers:
             totient_progression(10 ** 6, 10 ** 6 + 6 * 201, 5, 6, at=at)
 
 
-class TestGivenBasePrimes:
-    """Both kernels, handed the base primes of a larger bound (as a search
-    builds them once), equal their self-built results and the scalar
-    oracles; windows around P*P2 need the largest base prime P."""
+class TestBasePrimeCache:
+    """base_primes keeps the largest base primes built so far; both kernels
+    slice them, and build them first where the cache falls short."""
 
     CLASSES = [(0, 1), (5, 6), (11, 12), (15, 16), (7, 30)]
 
+    # Windows around P*P2 need the largest base prime P: from a cache warmed
+    # short of the root (bound P, which the kernels grow), to it and past it,
+    # both kernels equal their cold results and the scalar oracles.
     @pytest.mark.parametrize("residue, modulus", CLASSES)
-    def test_window_needing_the_largest_base_prime(self, residue, modulus):
+    def test_window_needing_the_largest_base_prime(self, residue, modulus, cold_base_primes):
         p, p2 = adjacent_primes_near(10 ** 6, residue, modulus)
         v = p * p2
         lo, hi = v - 60 * modulus, v + 60 * modulus + 1
-        assert p <= math.isqrt(hi - 1) < p2
+        root = math.isqrt(hi - 1)
+        assert p <= root < p2
         first, phi = totient_progression(lo, hi, residue, modulus)
+        primes = primes_in_class(lo, hi, residue, modulus)
         members = range(first, hi, modulus)
         assert phi.tolist() == [euler_phi(x) for x in members]
-        assert primes_in_class(lo, hi, residue, modulus).tolist() == [x for x in members if sympy.isprime(x)]
+        assert primes.tolist() == [x for x in members if sympy.isprime(x)]
         at = np.arange(0, phi.size, 7)
         for bound in (p, p2 - 1, 4 * p2):
-            given = base_primes(bound)
-            assert np.array_equal(totient_progression(lo, hi, residue, modulus, primes=given)[1], phi)
-            assert np.array_equal(totient_progression(lo, hi, residue, modulus, at=at, primes=given)[1], phi[at])
-            assert np.array_equal(primes_in_class(lo, hi, residue, modulus, given),
-                                  primes_in_class(lo, hi, residue, modulus))
+            cold_base_primes()
+            base_primes(bound)
+            assert np.array_equal(totient_progression(lo, hi, residue, modulus)[1], phi)
+            assert np.array_equal(totient_progression(lo, hi, residue, modulus, at=at)[1], phi[at])
+            assert np.array_equal(primes_in_class(lo, hi, residue, modulus), primes)
+            assert sieve._cache[0] == max(bound, root)
 
-    def test_does_not_build_its_own(self, monkeypatch):
-        given = base_primes(10 ** 5)
-        monkeypatch.setattr(sieve, "base_primes", None)
-        first, phi = totient_progression(10 ** 9, 10 ** 9 + 12 * 500, 11, 12, primes=given)
-        assert phi.tolist() == [euler_phi(first + 12 * j) for j in range(phi.size)]
+    def test_does_not_build_its_own(self, monkeypatch, cold_base_primes):
+        base_primes(10 ** 5)
         calls = []
         monkeypatch.setattr(sieve, "_sieve_class", lambda *a, f=sieve._sieve_class: calls.append(a) or f(*a))
-        primes_in_class(10 ** 9, 10 ** 9 + 16 * 500, 15, 16, given)
-        assert len(calls) == 1
+        first, phi = totient_progression(10 ** 9, 10 ** 9 + 12 * 500, 11, 12)
+        assert phi.tolist() == [euler_phi(first + 12 * j) for j in range(phi.size)]
+        assert calls == []
+        primes_in_class(10 ** 9, 10 ** 9 + 16 * 500, 15, 16)
+        assert calls == [(10 ** 9, 10 ** 9 + 16 * 500, 15, 16)]
+
+    def test_read_only(self):
+        primes = base_primes(100)
+        with pytest.raises(ValueError):
+            primes[0] = 4
+        assert base_primes(100)[0] == 2
+
+    def test_smaller_limit_after_larger(self, cold_base_primes):
+        base_primes(10 ** 4)
+        expected = list(sympy.primerange(2, 10 ** 4 + 1))
+        for limit in (2, 3, 4, 96, 97, 98, 9972, 9973, 10 ** 4):
+            assert base_primes(limit).tolist() == expected[: bisect.bisect_right(expected, limit)], limit
+        assert sieve._cache[0] == 10 ** 4
 
 
 class TestSearchClasses:
