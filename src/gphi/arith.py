@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .sieve import base_primes
-
 # Working integer width.  g at most doubles per step, so orbits of desk-scale
 # length fit comfortably; anything beyond is reported as truncation instead of
 # silently growing without bound.
@@ -22,8 +20,6 @@ NATURAL_BITS = 192
 NATURAL_MAX = (1 << NATURAL_BITS) - 1
 
 TRIAL_DIVISION_BOUND = 1000
-# Python ints: an int64 trial divisor overflows against a wide cofactor.
-_TRIAL_PRIMES = base_primes(TRIAL_DIVISION_BOUND).tolist()
 
 
 class NaturalOverflowError(OverflowError):
@@ -85,6 +81,11 @@ def is_prime(n):
         else:
             return False
     return True
+
+
+# The trial divisors, from is_prime itself (below 2047 one base decides it),
+# so that arith needs no sieve.
+_TRIAL_PRIMES = [p for p in range(2, TRIAL_DIVISION_BOUND + 1) if is_prime(p)]
 
 
 def _brent_rho(n, rng):
@@ -180,7 +181,7 @@ def _split_composite(m, found, rng, mult=1):
 
 def factorize(n):
     """Exact prime factorization: the power of 2 in one shift, trial division
-    by sieved primes up to TRIAL_DIVISION_BOUND, then _split_composite on the
+    by the primes up to TRIAL_DIVISION_BOUND, then _split_composite on the
     cofactor.  Each prime is proven once, so the result skips the re-check."""
     _check_natural(n)
     twos = (n & -n).bit_length() - 1

@@ -10,6 +10,10 @@ CSV mode sends the summary to stderr.
 Exit codes: 0 success, 1 verification failure or search inconsistency,
 2 usage or parameter error, including a limit whose tables cannot be allocated
 and a search worker that died (the out-of-memory killer is the likely cause).
+
+Only the handlers that sieve (solutions, verify-theorem, search-exotic and
+search-relaxed) import diophantine and sieve, and with them numpy; the
+scalar commands start without either.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import BrokenExecutor
 
-from . import arith, diophantine, orbits
-from .diophantine import MAX_JOBS, SolutionKind
-from .sieve import DEFAULT_SEGMENT_SIZE, SegmentTooLargeError, SieveRangeError
+from . import arith, equation, orbits
+from .equation import InternalInconsistencyError, SolutionKind
+from .limits import DEFAULT_SEGMENT_SIZE, MAX_JOBS
 
 JOBS_ENV_VAR = "GPHI_JOBS"
 
@@ -60,6 +63,8 @@ def _classify_record(n, cls):
 
 
 def _cmd_solutions(args):
+    from . import diophantine
+
     records = []
     code = 0
     if args.method == "brute":
@@ -75,6 +80,8 @@ def _cmd_solutions(args):
 
 
 def _cmd_verify_theorem(args):
+    from . import diophantine
+
     rows = list(diophantine.oracle_comparison(args.limit))
     records = [
         {"n": n, "brute": diophantine.is_solution(n), "classified": not brute, "kind": cls.kind.value}
@@ -87,22 +94,33 @@ def _cmd_verify_theorem(args):
 
 
 def _cmd_search_exotic(args):
+    from concurrent.futures import BrokenExecutor
+
+    from . import diophantine
+
     def progress(seg_lo, seg_hi, seg_hits):
         print(f"segment [{seg_lo}, {seg_hi}) done, hits={seg_hits}", file=sys.stderr)
 
-    witnesses = diophantine.exotic_prime_search(
-        args.lo,
-        args.hi,
-        segment_size=args.segment_size,
-        jobs=args.jobs,
-        checkpoint_path=args.checkpoint,
-        progress=progress if args.progress else None,
-    )
+    try:
+        witnesses = diophantine.exotic_prime_search(
+            args.lo,
+            args.hi,
+            segment_size=args.segment_size,
+            jobs=args.jobs,
+            checkpoint_path=args.checkpoint,
+            progress=progress if args.progress else None,
+        )
+    except BrokenExecutor as exc:  # an OSError exits 2 with its one line
+        raise ChildProcessError(
+            "a worker process died; a --checkpoint keeps the segments finished before it"
+        ) from exc
     records = [{"m": w.m, "p": w.p, "q": w.q} for w in witnesses]
     return records, 0, []
 
 
 def _cmd_search_relaxed(args):
+    from . import diophantine
+
     return [{"n": n} for n in diophantine.relaxed_search(args.limit)], 0, []
 
 
@@ -122,17 +140,17 @@ def _cmd_scan_orbits(args):
 
 
 def _cmd_families(args):
-    kinds = [SolutionKind(args.kind)] if args.kind else diophantine.FAMILIES
+    kinds = [SolutionKind(args.kind)] if args.kind else equation.FAMILIES
     records = [
         {"kind": kind.value, "ell": arith.v2(n), "n": n}
         for kind in kinds
-        for n in diophantine.family_members(kind, args.max_exponent, m=args.m)
+        for n in equation.family_members(kind, args.max_exponent, m=args.m)
     ]
     return records, 0, []
 
 
 def _cmd_trace(args):
-    trace = diophantine.case_trace(args.n)
+    trace = equation.case_trace(args.n)
     record = {
         "n": args.n,
         "ell1": trace.ell1,
@@ -231,18 +249,14 @@ def main(argv=None):
         if hasattr(args, "jobs"):
             args.jobs = resolve_jobs(args.jobs)
         records, code, notes = args.handler(args)
-    except (diophantine.InternalInconsistencyError,) as exc:
+    except InternalInconsistencyError as exc:
         print(f"error: inconsistency: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, SieveRangeError, SegmentTooLargeError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
-        return 2
-    except BrokenExecutor:
-        print("error: a worker process died; a --checkpoint keeps the segments finished before it",
-              file=sys.stderr)
         return 2
     elapsed_ms = int((time.monotonic() - started) * 1000)
     parameters = {

@@ -7,6 +7,10 @@ solution shapes and then confirming every positive match against the
 equation, so a transcription bug turns into a loud error instead of a
 wrong answer.  classify_range() classifies whole sweeps from the family
 index and the exotic search, held to classify on a sample of each range.
+
+The scalar side (is_solution, the solution shapes, family_members and
+case_trace) lives in equation, which needs no numpy; its names are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -14,15 +18,27 @@ from __future__ import annotations
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from enum import Enum
 from itertools import islice
 
 import numpy as np
 
-from .arith import _check_natural, euler_phi, factorize, is_prime, v2
+# euler_phi is not called here, but stays reachable as diophantine.euler_phi.
+from .arith import _check_natural, euler_phi, v2
+from .equation import (
+    _EXOTIC_SHAPES,
+    FAMILIES,
+    InternalInconsistencyError,
+    ProofTrace,
+    SolutionKind,
+    TraceCase,
+    _is_exotic,
+    case_trace,
+    family_members,
+    is_solution,
+)
+from .limits import MAX_JOBS
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_SIEVE_VALUE,
@@ -37,10 +53,6 @@ from .sieve import (
     write_checkpoint,
 )
 
-
-# exotic_prime_search's pool forks all its workers at once: the count is capped.
-MAX_JOBS = 256
-
 # Widest exotic segment.  At its peak a segment holds at most 1.5 bytes per
 # value of width (1.36 at 2^22 wide near 10^10, 1.31 at 2^24), nearly all of
 # it phi and acc of the one-in-sixteen companions of odd m (the prime flags
@@ -54,19 +66,8 @@ MAX_EXOTIC_SEGMENT = 400_000_000
 MAX_SEARCH_VALUE = (2**63 - 1) // 3
 
 
-class InternalInconsistencyError(RuntimeError):
-    """A structural match passed form checks but failed the defining equation."""
-
-
 class CheckpointMismatchError(ValueError):
     """Checkpoint on disk belongs to a different search or fails validation."""
-
-
-def is_solution(n):
-    """True iff phi(n) + phi(n + phi(n)) = n."""
-    _check_natural(n)
-    tot = euler_phi(n)
-    return tot + euler_phi(n + tot) == n
 
 
 def _phi_table(limit):
@@ -98,37 +99,8 @@ def brute_force_solutions(limit):
     return [int(x) for x in hits]
 
 
-class SolutionKind(Enum):
-    NOT_SOLUTION = "not_solution"
-    POWER_OF_2 = "power_of_2"
-    FAMILY_3 = "family_3"
-    FAMILY_5 = "family_5"
-    FAMILY_7 = "family_7"
-    FAMILY_35 = "family_35"
-    FAMILY_47 = "family_47"
-    EXOTIC_A = "exotic_a"
-    EXOTIC_B = "exotic_b"
-
-
-# The named families, kind -> (odd part q, least ell): members q << ell, ell >= least.
-FAMILIES = {
-    SolutionKind.POWER_OF_2: (1, 2),
-    SolutionKind.FAMILY_3: (3, 1),
-    SolutionKind.FAMILY_5: (5, 1),
-    SolutionKind.FAMILY_7: (7, 1),
-    SolutionKind.FAMILY_35: (35, 1),
-    SolutionKind.FAMILY_47: (47, 1),
-}
+# The family index of classify and classify_range: odd part q -> (kind, least ell).
 _FAMILY_BY_ODD_PART = {q: (kind, least) for kind, (q, least) in FAMILIES.items()}
-
-# The exotic shapes, kind -> (a, b): odd parts a*m + b with _is_exotic(m), ell >= 1.
-_EXOTIC_SHAPES = {SolutionKind.EXOTIC_A: (8, 7), SolutionKind.EXOTIC_B: (6, 5)}
-
-
-def _is_exotic(m):
-    """p = 8m+7 is prime and phi(6m+5) = 4m+4: the scalar reference of
-    _exotic_segment, its one vectorized form."""
-    return is_prime(8 * m + 7) and euler_phi(6 * m + 5) == 4 * m + 4
 
 
 @dataclass(frozen=True)
@@ -242,66 +214,6 @@ def theorem_mismatches(limit):
     return mismatches, sum(brute for _, brute, _ in rows)
 
 
-class TraceCase(Enum):
-    POWER_OF_2_CHAIN = "power_of_2_chain"
-    L2_GT_L1 = "l2_gt_l1"
-    L2_EQ_L1 = "l2_eq_l1"
-
-
-@dataclass(frozen=True)
-class ProofTrace:
-    """Witness data placing a solution within the structural case analysis."""
-
-    ell1: int
-    ell2: int
-    case: TraceCase
-    p: int = None
-    alpha: int = None
-    k: int = None
-    q: int = None
-    phi_q_check: bool = None
-
-
-def _single_prime_power(value, context):
-    fac = factorize(value).factors
-    if len(fac) != 1:
-        raise InternalInconsistencyError(f"{context}: {value} is not a prime power")
-    return fac[0]
-
-
-def case_trace(n):
-    """Extract the (ell1, ell2, p, alpha, k, q) witness for a solution n.
-
-    In the l2 > l1 case the prime power sits in the odd part of n + phi(n);
-    in the l2 = l1 case it is the odd part of n itself.  Either way
-    3p - 1 = 2^k * q with phi(q) = (2/3)(q + 1) for genuine solutions.
-    """
-    if not is_solution(n):
-        raise ValueError(f"case_trace requires a solution, {n} is not one")
-    tot = euler_phi(n)
-    ell1 = v2(n)
-    ell2 = v2(tot)
-    if n >> ell1 in (1, 3):
-        return ProofTrace(ell1, ell2, TraceCase.POWER_OF_2_CHAIN)
-    if ell2 > ell1:
-        case = TraceCase.L2_GT_L1
-        total = n + tot
-        if v2(total) != ell1:
-            raise InternalInconsistencyError(f"v2({n} + phi) != v2({n})")
-        p, alpha = _single_prime_power(total >> v2(total), f"trace({n})")
-    elif ell2 == ell1:
-        case = TraceCase.L2_EQ_L1
-        p, alpha = _single_prime_power(n >> ell1, f"trace({n})")
-    else:
-        raise InternalInconsistencyError(f"v2(phi({n})) < v2({n}) for a solution")
-    if p % 4 != 3:
-        raise InternalInconsistencyError(f"trace({n}): prime {p} is not 3 mod 4")
-    k = v2(3 * p - 1)
-    q = (3 * p - 1) >> k
-    phi_q_check = 3 * euler_phi(q) == 2 * (q + 1)
-    return ProofTrace(ell1, ell2, case, p, alpha, k, q, phi_q_check)
-
-
 @dataclass(frozen=True)
 class ExoticWitness:
     """A prime p = 8m + 7 whose companion q = 6m + 5 has phi(q) = 4m + 4."""
@@ -337,13 +249,24 @@ def _exotic_segment(bounds):
     return hits + ((p[phi == (p + 1) // 2] - 7) // 8).tolist()
 
 
-def _pool_segments(pool, segments, window):
-    """(bounds, hits) of each segment in order, read lazily, at most window in flight."""
-    pending = [(b, pool.submit(_exotic_segment, b)) for b in islice(segments, window)]
+def _warm_segment(bounds, root):
+    """_exotic_segment in a pool worker whose cache of base_primes is first
+    filled to root, the search's.  A worker forked from the search inherits
+    that cache and only slices it.  One started afresh (spawn, or forkserver,
+    Linux's default from Python 3.14) builds it on its first segment, not
+    again for each later segment, whose root is above the last."""
+    base_primes(root)
+    return _exotic_segment(bounds)
+
+
+def _pool_segments(pool, segments, window, root):
+    """(bounds, hits) of each segment in order, read lazily, at most window in
+    flight, each run by _warm_segment to root."""
+    pending = [(b, pool.submit(_warm_segment, b, root)) for b in islice(segments, window)]
     while pending:
         bounds, future = pending.pop(0)
         yield bounds, future.result()
-        pending += [(b, pool.submit(_exotic_segment, b)) for b in islice(segments, 1)]
+        pending += [(b, pool.submit(_warm_segment, b, root)) for b in islice(segments, 1)]
 
 
 def exotic_prime_search(
@@ -361,9 +284,10 @@ def exotic_prime_search(
     (hits other than m = 0 have odd m, see _exotic_segment) and phi is
     sieved at their companions q = (3p-1)/4 along the progression 11 mod 12.
     The base primes up to sqrt(hi) fill the cache of base_primes before any
-    segment runs, so segments, and forked pool workers, slice it.  A pool is
-    fed segments lazily and its results merge in ascending range order; a
-    checkpoint file makes the search resumable.
+    segment runs, so segments slice it; each pool worker fills its own to
+    the same root (see _warm_segment).  A pool, started only for jobs > 1,
+    is fed segments lazily and its results merge in ascending range order;
+    a checkpoint file makes the search resumable.
     max_segments limits how many segments run (for tests and partial runs).
     """
     if not 2 <= lo < hi:
@@ -394,12 +318,17 @@ def exotic_prime_search(
         hits = list(cp.hits)
     starts = range(start, hi, segment_size)[:max_segments]
     segments = ((a, min(a + segment_size, hi)) for a in starts)
-    if starts:  # p < hi and q < p: one build covers the roots of both ranges
-        base_primes(max(math.isqrt(hi - 1), 2))
-    pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
+    root = max(math.isqrt(hi - 1), 2)  # p < hi and q < p: one build covers the roots of both ranges
+    if starts:
+        base_primes(root)
+    pool = None
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a search with a pool loads it
+
+        pool = ProcessPoolExecutor(jobs)
     with pool or nullcontext():
         if pool:
-            results = _pool_segments(pool, segments, 4 * jobs)
+            results = _pool_segments(pool, segments, 4 * jobs, root)
         else:
             results = ((bounds, _exotic_segment(bounds)) for bounds in segments)
         for (seg_lo, seg_hi), seg_hits in results:
@@ -448,27 +377,3 @@ def relaxed_search(limit):
         phi -= 2 * lo + 2
         found.extend(lo + int(j) for j in np.flatnonzero(phi == twice_index[: hi - lo]))
     return found
-
-
-def family_members(kind, ell_max, m=None):
-    """Members 2^ell * q of one solution family, from its least ell up to
-    ell_max, each re-confirmed as a solution (so an exotic kind's m must
-    satisfy _is_exotic)."""
-    if ell_max < 1:
-        raise ValueError("ell_max must be positive")
-    if kind in FAMILIES:
-        q, start = FAMILIES[kind]
-    elif kind in _EXOTIC_SHAPES:
-        if m is None:
-            raise ValueError("exotic families require the parameter m")
-        if not _is_exotic(m):
-            raise ValueError(f"m={m} is not exotic: needs 8m+7 prime and phi(6m+5) = 4m+4")
-        a, b = _EXOTIC_SHAPES[kind]
-        q, start = a * m + b, 1
-    else:
-        raise ValueError(f"no family for kind {kind!r}")
-    members = [q << ell for ell in range(start, ell_max + 1)]
-    for candidate in members:
-        if not is_solution(candidate):
-            raise InternalInconsistencyError(f"{candidate} is not a solution")
-    return members

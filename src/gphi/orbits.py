@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .arith import _check_natural, NaturalOverflowError, g, iterate_g
-from .diophantine import is_solution
+from .equation import is_solution
 
 DEFAULT_K_MAX = 64
 

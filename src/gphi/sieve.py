@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SEGMENT_SIZE = 1 << 22
+from .limits import DEFAULT_SEGMENT_SIZE
 
 # int64 headroom: phi and the smooth-part accumulator acc of a value never
 # exceed the value, so the values themselves are the only magnitude constraint.
@@ -26,6 +26,7 @@ _DENSE_BELOW = 1 << 8  # smaller prime powers hit every block 256 or more times
 # than in its strided write; such primes go through one vectorized pass.
 _STRIDED_HITS = 64
 _SPARSE_BATCH = 1 << 14  # strikes expanded at once by the sparse pass
+_BASE_WINDOW = 1 << 20  # values a base-prime build sieves at a time (1 MiB of flags)
 
 
 class SieveRangeError(ValueError):
@@ -51,14 +52,19 @@ _cache = (1, np.empty(0, dtype=np.int64))
 
 
 def _primes_to(limit):
-    """The primes <= limit, read-only, sliced from _cache after rebuilding it
-    to limit if limit is above its bound.  _sieve_class takes its base primes
-    here, not from the public base_primes, so that a cold and a warm cache
-    give the same base_primes call counts."""
+    """The primes <= limit, read-only, sliced from _cache after extending it
+    to limit if limit is above its bound.  The extension sieves the values
+    past the bound _BASE_WINDOW at a time, so a build holds one flag per
+    value of a window, not of the whole range.  _sieve_class takes its base
+    primes here, not from the public base_primes, so that a cold and a warm
+    cache give the same base_primes call counts."""
     global _cache
     bound, primes = _cache
     if limit > bound:
-        primes = _sieve_class(2, limit + 1, 0, 1)
+        parts = [primes]
+        for lo in range(bound + 1, limit + 1, _BASE_WINDOW):
+            parts.append(_sieve_class(lo, min(lo + _BASE_WINDOW, limit + 1), 0, 1))
+        primes = np.concatenate(parts)
         primes.flags.writeable = False
         _cache = (limit, primes)
     return primes[: int(np.searchsorted(primes, limit, side="right"))]
@@ -296,11 +302,17 @@ def write_checkpoint(path, checkpoint):
 
 
 def read_checkpoint(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 2 or not lines[0].startswith("search_id ") or not lines[1].startswith("completed "):
-        raise ValueError(f"malformed checkpoint file {path}")
-    search_id = lines[0][len("search_id ") :]
-    completed = int(lines[1].split()[1])
-    hits = tuple(int(line) for line in lines[2:] if line)
-    return SearchCheckpoint(search_id, completed, hits)
+    """The checkpoint in the file at path.  A file that is not one, by its
+    header, its text, its numbers or its hits, raises ValueError naming it."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        if len(lines) < 2 or not lines[0].startswith("search_id ") or not lines[1].startswith("completed "):
+            raise ValueError()
+        search_id = lines[0][len("search_id ") :]
+        completed = int(lines[1][len("completed ") :])
+        hits = tuple(int(line) for line in lines[2:] if line)
+        return SearchCheckpoint(search_id, completed, hits)
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        reason = f": {exc}" if str(exc) else ""
+        raise ValueError(f"malformed checkpoint file {path}{reason}") from exc

@@ -271,6 +271,27 @@ class TestSearchExotic:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+    # A checkpoint that cannot be read exits 2 with one line naming the file
+    # and the reason.
+    @pytest.mark.parametrize("content, reason", [
+        (b"search_id exotic:2:1000:64\ncompleted abc\n", "invalid literal for int()"),
+        (b"search_id exotic:2:1000:64\ncompleted \n", "invalid literal for int()"),
+        (b"search_id exotic:2:1000:64\ncompleted 66\n\xff\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"search_id exotic:2:1000:64\ncompleted 66\n0\n0\n", "checkpoint hits must be strictly ascending"),
+    ], ids=["not-an-integer", "no-number", "not-utf-8", "repeated-hit"])
+    def test_malformed_checkpoint_names_the_file(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "cp.txt"
+        path.write_bytes(content)
+        code, out, err = run(
+            capsys, "search-exotic", "--from", "2", "--to", "1000", "--segment-size", "64",
+            "--checkpoint", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: malformed checkpoint file {path}: {reason}")
+        assert err.count("\n") == 1
+        assert path.read_bytes() == content
+
+
 class TestSearchRelaxed:
     def test_small(self, capsys):
         code, out, _ = run(capsys, "search-relaxed", "--limit", "40")

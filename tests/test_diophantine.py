@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import time
 import tracemalloc
 from collections import Counter
@@ -44,6 +46,38 @@ def equation_holds(n):
     """Direct oracle, written out independently of the library internals."""
     tot = euler_phi(n)
     return tot + euler_phi(n + tot) == n
+
+
+_SIEVE_CLASS = sieve._sieve_class
+_BUILD_LOG = "GPHI_TEST_BUILD_LOG"  # where spawned workers log their builds
+
+
+def logging_builds(log):
+    """sieve._sieve_class, but each base-prime build appends "<pid> <bound>"
+    to log.  A build is a modulus-1 class sieve outside another one (each
+    build sieves its own root first; every root in these tests fits one
+    window of it)."""
+    depth = [0]
+
+    def spy(lo, hi, residue, modulus):
+        if modulus == 1 and not depth[0]:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {hi - 1}\n")
+        depth[0] += modulus == 1
+        try:
+            return _SIEVE_CLASS(lo, hi, residue, modulus)
+        finally:
+            depth[0] -= modulus == 1
+
+    return spy
+
+
+def warm_segment_logging_builds(bounds, root):
+    """diophantine._warm_segment in a spawned pool worker, which logs its
+    builds to the file named by _BUILD_LOG."""
+    if sieve._sieve_class is _SIEVE_CLASS:
+        sieve._sieve_class = logging_builds(os.environ[_BUILD_LOG])
+    return diophantine._warm_segment(bounds, root)
 
 
 class TestIsSolution:
@@ -332,29 +366,39 @@ class TestExoticSearch:
 
     # A search builds its base primes once, up to the root of its largest
     # value, before any segment runs: no segment, in this process or in a
-    # forked worker, builds its own.  A build is a modulus-1 class sieve
-    # outside another one (each build sieves its own root first); the log
-    # file also collects the builds of workers.
+    # forked worker, builds its own.  The log file also collects the builds
+    # of workers.
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_search_builds_base_primes_once(self, jobs, monkeypatch, tmp_path, cold_base_primes):
-        log, depth, original = tmp_path / "builds", [0], sieve._sieve_class
-
-        def spy(lo, hi, residue, modulus):
-            if modulus == 1 and not depth[0]:
-                with open(log, "a") as fh:
-                    fh.write(f"{hi - 1}\n")
-            depth[0] += modulus == 1
-            try:
-                return original(lo, hi, residue, modulus)
-            finally:
-                depth[0] -= modulus == 1
-
-        monkeypatch.setattr(sieve, "_sieve_class", spy)
+        log = tmp_path / "builds"
+        monkeypatch.setattr(sieve, "_sieve_class", logging_builds(log))
         hi = 2 + 16 * (1 << 17)
         witnesses = exotic_prime_search(2, hi, segment_size=1 << 17, jobs=jobs)
         assert [w.m for w in witnesses] == [0, 5]
-        bounds = [int(b) for b in log.read_text().split()]
+        bounds = [int(line.split()[1]) for line in log.read_text().splitlines()]
         assert len(bounds) == 1 and bounds[0] >= math.isqrt(hi - 1)
+
+    # A spawned worker inherits no cache.  It fills its own to the search's
+    # root on its first segment and slices it for the rest, each of whose
+    # higher roots would otherwise rebuild it: every process builds at most
+    # once, and the hits are those of the serial search.
+    def test_pool_search_under_spawn(self, monkeypatch, tmp_path, cold_base_primes):
+        log = tmp_path / "builds"
+        monkeypatch.setenv(_BUILD_LOG, str(log))
+        monkeypatch.setattr(sieve, "_sieve_class", logging_builds(log))
+        monkeypatch.setattr(diophantine, "_warm_segment", warm_segment_logging_builds)
+        hi, seg = 2 + 16 * (1 << 14), 1 << 14
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            pooled = exotic_prime_search(2, hi, segment_size=seg, jobs=2)
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        builds = Counter(line.split()[0] for line in log.read_text().splitlines())
+        assert builds[str(os.getpid())] == 1 and len(builds) >= 2
+        assert max(builds.values()) == 1
+        assert pooled == exotic_prime_search(2, hi, segment_size=seg)
+        assert [w.m for w in pooled] == [0, 5]
 
     # MAX_EXOTIC_SEGMENT is sized from a segment's peak of at most 1.5
     # bytes per value of width; numpy reports its buffers to tracemalloc.

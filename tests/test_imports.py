@@ -1,0 +1,121 @@
+"""What each command loads, and the package's exports: scalar commands start
+without numpy or a process pool, and the bulk names are served lazily."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gphi
+
+SRC = Path(gphi.__file__).resolve().parent.parent
+
+# Runs gphi's main on the arguments, then prints the loaded modules as the
+# last line of stderr.
+_PROBE = """\
+import json, sys
+from gphi.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def modules_after(*argv):
+    """The modules loaded by the end of `gphi <argv>`, run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env.pop("GPHI_JOBS", None)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def under(modules, *packages):
+    return sorted(m for m in modules if m.split(".")[0] in packages)
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--n", "3114"),
+    ("scan-orbits", "--limit", "20"),
+    ("families",),
+    ("trace", "--n", "70"),
+])
+def test_scalar_commands_load_no_numpy_and_no_pool(argv):
+    modules = modules_after(*argv)
+    assert "gphi.orbits" in modules
+    assert under(modules, "numpy", "concurrent", "multiprocessing") == []
+    assert "gphi.diophantine" not in modules and "gphi.sieve" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-theorem", "--limit", "1000"),
+    ("search-relaxed", "--limit", "1000"),
+    ("search-exotic", "--from", "2", "--to", "100000", "--jobs", "1"),
+])
+def test_serial_bulk_commands_load_no_pool(argv):
+    modules = modules_after(*argv)
+    assert "numpy" in modules and "gphi.diophantine" in modules
+    assert "concurrent.futures.process" not in modules
+    assert under(modules, "multiprocessing") == []
+
+
+def test_pool_search_loads_the_pool():
+    modules = modules_after("search-exotic", "--from", "2", "--to", "100000", "--jobs", "2")
+    assert "concurrent.futures.process" in modules
+
+
+# Every name the package exported when it imported all its modules eagerly,
+# with the module that defines it.
+EXPORTS = {
+    "arith": ("Factorization", "LemmaKind", "LemmaVerdict", "NaturalOverflowError", "Orbit",
+              "euler_phi", "factorize", "g", "is_prime", "iterate_g", "lemma_predicate",
+              "odd_part", "v2"),
+    "equation": ("InternalInconsistencyError", "ProofTrace", "SolutionKind", "TraceCase",
+                 "case_trace", "family_members", "is_solution"),
+    "diophantine": ("ExoticWitness", "SolutionClass", "brute_force_solutions", "classify",
+                    "classify_range", "exotic_prime_search", "relaxed_search",
+                    "theorem_mismatches"),
+    "orbits": ("OrbitRelation", "Persistence", "PersistenceResult", "detect_relations",
+               "doubling_persistence", "reduce_to_diophantine", "scan_orbits"),
+    "sieve": ("SearchCheckpoint", "SieveSegment", "base_primes", "primes_in_class",
+              "read_checkpoint", "sieve_segment", "totient_progression", "write_checkpoint"),
+}
+EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+@pytest.mark.parametrize("module, name", EXPORTED)
+def test_every_export_is_the_defining_modules_object(module, name):
+    import gphi.diophantine
+
+    defining = sys.modules[f"gphi.{module}"]
+    obj = getattr(gphi, name)
+    assert obj is getattr(defining, name)
+    assert obj.__module__ == defining.__name__
+    namespace = {}
+    exec(f"from gphi import {name}", namespace)
+    assert namespace[name] is obj
+    # the names the scalar module defines stay importable from diophantine
+    if module == "equation":
+        assert getattr(gphi.diophantine, name) is obj
+
+
+def test_bulk_names_are_not_stored_in_the_package():
+    before = dict(vars(gphi))
+    for module, names in EXPORTS.items():
+        for name in names:
+            getattr(gphi, name)
+    assert vars(gphi).keys() - before.keys() <= {"diophantine", "sieve"}
+    assert not any(name in vars(gphi) for name in EXPORTS["diophantine"] + EXPORTS["sieve"])
+
+
+def test_dir_and_unknown_names():
+    listed = dir(gphi)
+    assert {name for _, name in EXPORTED} <= set(listed)
+    assert "__version__" in listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gphi.no_such_name
+    with pytest.raises(ImportError):
+        exec("from gphi import no_such_name", {})

@@ -2,6 +2,7 @@ import bisect
 import math
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +50,8 @@ class TestBasePrimes:
         for limit in range(2, 5001):
             assert base_primes(limit).tolist() == primes[: bisect.bisect_right(primes, limit)], limit
 
-    def test_is_the_trial_division_source(self):
+    # arith takes its trial divisors from is_prime, not from the sieve.
+    def test_agrees_with_the_trial_division_primes(self):
         assert _TRIAL_PRIMES == base_primes(1000).tolist()
         # int64 trial divisors would overflow against wide cofactors
         assert all(type(p) is int for p in _TRIAL_PRIMES)
@@ -352,6 +354,33 @@ class TestBasePrimeCache:
         with pytest.raises(ValueError):
             primes[0] = 4
         assert base_primes(100)[0] == 2
+
+    # A build sieves _BASE_WINDOW values at a time, from the cache's bound on:
+    # small windows put edges on and next to primes, from a cold cache and
+    # from a warm one.
+    @pytest.mark.parametrize("window", [1, 2, 3, 16, 97, 1000])
+    def test_identical_across_window_edges(self, window, monkeypatch, cold_base_primes):
+        expected = list(sympy.primerange(2, 5001))
+        monkeypatch.setattr(sieve, "_BASE_WINDOW", window)
+        assert base_primes(5000).tolist() == expected
+        cold_base_primes()
+        assert base_primes(97).tolist() == expected[:25]
+        assert base_primes(5000).tolist() == expected
+        assert base_primes(1000).tolist() == expected[:168]
+
+    # One flag per value of a window, not of the range: the peak is the
+    # primes themselves, old and new arrays at once (about 0.53 B/value
+    # each at 10^7), where one unsegmented flag array read 2.06 B/value.
+    def test_build_peak_memory_per_value(self, cold_base_primes):
+        limit = 10 ** 7
+        tracemalloc.start()
+        try:
+            primes = base_primes(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert primes.size == 664579
+        assert peak < 1.25 * limit
 
     def test_smaller_limit_after_larger(self, cold_base_primes):
         base_primes(10 ** 4)
