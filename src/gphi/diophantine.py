@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 # euler_phi is not called here, but stays reachable as diophantine.euler_phi.
-from .arith import _check_natural, euler_phi, v2
+from .arith import _check_natural, euler_phi, is_prime, v2
 from .equation import (
     _EXOTIC_SHAPES,
     FAMILIES,
@@ -53,12 +53,15 @@ from .sieve import (
     write_checkpoint,
 )
 
-# Widest exotic segment.  At its peak a segment holds at most 1.5 bytes per
-# value of width (1.36 at 2^22 wide near 10^10, 1.31 at 2^24), nearly all of
-# it phi and acc of the one-in-sixteen companions of odd m (the prime flags
-# of the class 15 mod 16 take 1/16 byte), so its arrays stay near 600 MB.
-# The base primes come on top: the cache of sieve.base_primes, which outlives
-# the search, at 8 bytes per prime up to sqrt(MAX_SEARCH_VALUE) at most.
+# Widest exotic segment.  Near 10^10 a segment peaks at 0.82 bytes per value
+# of width at 2^22 wide (0.76 at 2^24), under tracemalloc: nearly all of it
+# the float64 ratio of _ratio_candidates and its flags, one each per
+# one-in-sixteen companion of odd m; phi and acc hold only the companions
+# that pass.  So its arrays stay near 330 MB.  On top come the base primes,
+# the cache of sieve.base_primes, which outlives the search, at 8 bytes per
+# prime up to sqrt(MAX_SEARCH_VALUE) at most, and the sparse strike pass's
+# arrays of about 48 bytes per base prime up to sqrt(hi), which grow with
+# height, not width (7.7 bytes per value of a 2^22 segment near 10^14).
 MAX_EXOTIC_SEGMENT = 400_000_000
 
 # Both searches triple values in int64 (3p - 1 in _exotic_segment, 3*phi(n)
@@ -223,6 +226,37 @@ class ExoticWitness:
     q: int
 
 
+# The ratio filter of _exotic_segment: the primes 5..251 make up a companion's
+# part s, every prime of its cofactor r is at least _RATIO_SPLIT.
+_RATIO_SPLIT = 257
+_RATIO_PRIMES = tuple(p for p in range(5, _RATIO_SPLIT) if is_prime(p))
+# Slack on both float thresholds of _ratio_candidates, far above their rounding.
+_RATIO_MARGIN = 1e-12
+
+
+def _ratio_candidates(first, count):
+    """Flags of the members q = first + 12j, j < count, of the progression
+    11 (mod 12): False only where 3*phi(q) = 2q + 2 is impossible by the
+    ratio lemma of _exotic_segment, with q_min = first and q_max = first +
+    12(count - 1).
+
+    phi(s)/s = prod (l - 1)/l over the primes l in _RATIO_PRIMES dividing q,
+    multiplied up in float64 by one strided pass per l.  Fewer than 14 of
+    them divide q (the 14 least multiply past 2^62 > MAX_SEARCH_VALUE), and
+    each factor and each product is rounded once, so a product is off by
+    less than 28 * 2^-53 < 4e-15 of its value (< 1); the upper bound is the
+    exact fraction rounded once (Python's int / int).  Both thresholds are widened by
+    _RATIO_MARGIN = 1e-12, so no q that satisfies the lemma is dropped."""
+    ratio = np.ones(count)
+    for ell in _RATIO_PRIMES:
+        ratio[(-first * pow(12, -1, ell)) % ell :: ell] *= (ell - 1) / ell
+    q_max, w = first + 12 * (count - 1), 0
+    while _RATIO_SPLIT ** (w + 1) <= q_max:
+        w += 1
+    upper = (2 * first + 2) * _RATIO_SPLIT**w / (3 * first * (_RATIO_SPLIT - 1) ** w)
+    return (ratio > 2 / 3 - _RATIO_MARGIN) & (ratio <= upper + _RATIO_MARGIN)
+
+
 def _exotic_segment(bounds):
     """Hits m with 8m+7 prime in [lo, hi) and phi(6m+5) = 4m+4, ascending.
 
@@ -236,8 +270,22 @@ def _exotic_segment(bounds):
     q = (3p-1)/4 lie in the progression 11 (mod 12); p = 7 (m = 0) is
     checked on its own with the scalar _is_exotic.
 
-    phi is evaluated only at the companions of the primes found; both
-    kernels slice their base primes from the cache of base_primes."""
+    phi is evaluated only at the companions of the primes found that pass
+    a ratio lemma (the phi(n)/n bound of the searches for Lehmer's totient
+    problem), checked by _ratio_candidates over the segment's companions
+    q_min..q_max.  Lemma: write q = s*r, s made of the primes 5..251 (q is
+    coprime to 6) and every prime of r at least 257; if 3*phi(q) = 2q + 2,
+    then 2/3 < phi(s)/s <= (2*q_min + 2)/(3*q_min) * (257/256)^w with
+    w = floor(log_257 q_max).  Proof: phi(q)/q = (2q + 2)/(3q) lies in
+    (2/3, (2*q_min + 2)/(3*q_min)], since q_min <= q.  phi(s)/s =
+    (phi(q)/q) / (phi(r)/r), and phi(r)/r = prod (1 - 1/l) over the primes
+    l of r is at most 1 and at least (256/257)^omega(r), with
+    257^omega(r) <= r <= q_max, so omega(r) <= w.  phi(s)/s depends only on
+    which of the 52 primes 5..251 divide q, so 52 strided passes decide it;
+    near 5*10^9 about one prime companion in 200 passes.  Exact phi alone
+    decides a hit.  Both kernels slice their base primes from the cache of
+    base_primes, and totient_progression runs, and reads that cache, even
+    when no companion passes."""
     lo, hi = bounds
     hits = [0] if lo <= 7 < hi and _is_exotic(0) else []
     p = primes_in_class(lo, hi, 15, 16)
@@ -245,7 +293,10 @@ def _exotic_segment(bounds):
         return hits
     q = (3 * p - 1) // 4
     first = int(q[0])
-    _, phi = totient_progression(first, int(q[-1]) + 1, 11, 12, at=(q - first) // 12)
+    at = (q - first) // 12
+    keep = _ratio_candidates(first, int(at[-1]) + 1)[at]
+    p = p[keep]
+    _, phi = totient_progression(first, int(q[-1]) + 1, 11, 12, at=at[keep])
     return hits + ((p[phi == (p + 1) // 2] - 7) // 8).tolist()
 
 
@@ -282,7 +333,13 @@ def exotic_prime_search(
 
     Segment by segment, the p-range is sieved for primes in class 15 mod 16
     (hits other than m = 0 have odd m, see _exotic_segment) and phi is
-    sieved at their companions q = (3p-1)/4 along the progression 11 mod 12.
+    sieved at those of their companions q = (3p-1)/4, along the progression
+    11 mod 12, that pass a ratio lemma.  With s the part of q made of the
+    primes 5..251, a hit has phi(s)/s >= phi(q)/q = (2q + 2)/(3q) > 2/3,
+    and phi(s)/s <= (2*q_min + 2)/(3*q_min) * (257/256)^w over the
+    segment's companions q_min..q_max, w = floor(log_257 q_max), because
+    the rest r of q has at most w primes, each at least 257, so phi(r)/r >=
+    (256/257)^w (the full proof is in _exotic_segment).
     The base primes up to sqrt(hi) fill the cache of base_primes before any
     segment runs, so segments slice it; each pool worker fills its own to
     the same root (see _warm_segment).  A pool, started only for jobs > 1,
@@ -311,9 +368,9 @@ def exotic_prime_search(
         cp = read_checkpoint(checkpoint_path)
         if cp.search_id != search_id:
             raise CheckpointMismatchError(
-                f"checkpoint is for {cp.search_id!r}, not {search_id!r}"
+                f"checkpoint file {checkpoint_path} is for {cp.search_id!r}, not {search_id!r}"
             )
-        _check_resume(cp, lo, hi, segment_size)
+        _check_resume(checkpoint_path, cp, lo, hi, segment_size)
         start = cp.last_completed_hi
         hits = list(cp.hits)
     starts = range(start, hi, segment_size)[:max_segments]
@@ -348,15 +405,18 @@ def _check_checkpoint_dir(path):
         raise ValueError(f"checkpoint {path}: {directory} is not a writable directory")
 
 
-def _check_resume(cp, lo, hi, segment_size):
-    """Reject a checkpoint whose progress is not a segment end of [lo, hi),
-    or whose hits lie outside the finished range or fail the condition."""
+def _check_resume(path, cp, lo, hi, segment_size):
+    """Reject the checkpoint cp, read from path, whose progress is not a
+    segment end of [lo, hi), or whose hits lie outside the finished range or
+    fail the condition; each message names the file."""
     done = cp.last_completed_hi
     if not lo <= done <= hi or (done != hi and (done - lo) % segment_size):
-        raise CheckpointMismatchError(f"checkpoint progress {done} is not a segment end of [{lo}, {hi})")
+        raise CheckpointMismatchError(
+            f"checkpoint file {path}: progress {done} is not a segment end of [{lo}, {hi})"
+        )
     for m in cp.hits:
         if not (lo <= 8 * m + 7 < done and _is_exotic(m)):
-            raise CheckpointMismatchError(f"checkpoint hit m={m} is not a hit in [{lo}, {done})")
+            raise CheckpointMismatchError(f"checkpoint file {path}: hit m={m} is not a hit in [{lo}, {done})")
 
 
 def relaxed_search(limit):

@@ -196,12 +196,13 @@ def totient_progression(lo, hi, residue, modulus, at=None):
 
     Requires gcd(residue, modulus) = 1 so the progression avoids the primes
     dividing the modulus entirely; array index j holds phi(first + modulus*j).
-    Returns (first, phi).  With at, an ascending array of such indices, phi
-    holds the totients of those members only, in that order: the sparse
-    strikes and the final division then touch only them, while the dense
-    and strided tiers, cheaper per member, still sweep every member (the
-    exotic search reads about one companion in eleven).  The base primes
-    up to sqrt(hi - 1) come from base_primes, a slice of its cache.
+    Returns (first, phi).  The base primes up to sqrt(hi - 1) come from
+    base_primes, a slice of its cache, even when no member is asked for.
+
+    With at, an ascending array of such indices, phi holds the totients of
+    those members only, in that order, and no array is sized by the whole
+    progression but one flag per member (see _totients_at); the exotic
+    search asks for a few hundred of a segment's 2^18 companions.
 
     Bays & Hudson's progression sieve (BIT 1977) without division in the
     loop: each prime power p^e multiplies phi by p - 1 or p and the smooth
@@ -211,9 +212,7 @@ def totient_progression(lo, hi, residue, modulus, at=None):
     in cache, as does the final division over every member.  Strided ones sweep the whole
     range once per power.  Sparse primes, each hitting fewer than
     _STRIDED_HITS members (see _sparse_split), are applied together from
-    _sparse_strikes: a hit v of p gets phi *= (p - 1) * p^(e-1) and
-    acc *= p^e, e found by dividing v by p while it divides, through
-    np.multiply.at, since two sparse primes may divide one value.
+    _sparse_strikes by _strike, since two sparse primes may divide one value.
     """
     if modulus < 1 or math.gcd(residue, modulus) != 1:
         raise ValueError(f"residue {residue} not coprime to modulus {modulus}")
@@ -224,14 +223,16 @@ def totient_progression(lo, hi, residue, modulus, at=None):
         at = np.asarray(at, dtype=np.int64)
         if at.size and not (0 <= at[0] and at[-1] < count and np.all(at[1:] > at[:-1])):
             raise ValueError(f"at must ascend within the {count} members of [{lo}, {hi})")
+    primes = base_primes(max(math.isqrt(hi - 1), 2))
     if count == 0 or at is not None and at.size == 0:
         return first, np.empty(0, dtype=np.int64)
+    split = _sparse_split(primes, count, modulus)
+    if at is not None:
+        return first, _totients_at(first, modulus, count, at, primes, split)
     top = first + modulus * (count - 1)
     phi = np.ones(count, dtype=np.int64)
     acc = np.ones(count, dtype=np.int64)
     dense = []  # (p^e, first index it divides, phi factor, p), run per block
-    primes = base_primes(max(math.isqrt(hi - 1), 2))
-    split = _sparse_split(primes, count, modulus)
     for p in primes[:split].tolist():
         pe = p
         while pe <= top and modulus % p:
@@ -244,35 +245,59 @@ def totient_progression(lo, hi, residue, modulus, at=None):
                 phi[j0::pe] *= p - 1 if pe == p else p
                 acc[j0::pe] *= p
             pe *= p
-    wanted = None
-    if at is not None:
-        wanted = np.zeros(count, dtype=bool)
-        wanted[at] = True
     for j, p in _sparse_strikes(first, modulus, count, primes[split:], from_square=False):
-        if wanted is not None:
-            keep = wanted[j]
-            j, p = j[keep], p[keep]
-        np.multiply.at(phi, j, p - 1)
-        np.multiply.at(acc, j, p)
-        rest = (first + modulus * j) // p
-        while (more := np.flatnonzero(rest % p == 0)).size:  # p^2, p^3, ... divide these
-            j, p = j[more], p[more]
-            rest = rest[more] // p
-            np.multiply.at(phi, j, p)
-            np.multiply.at(acc, j, p)
+        _strike(phi, acc, j, first + modulus * j, p)
     for b0 in range(0, count, _BLOCK):
         block_phi, block_acc = phi[b0 : b0 + _BLOCK], acc[b0 : b0 + _BLOCK]
         for pe, j0, factor, p in dense:
             block_phi[(j0 - b0) % pe :: pe] *= factor
             block_acc[(j0 - b0) % pe :: pe] *= p
-        if at is None:
-            rem = (first + modulus * np.arange(b0, b0 + block_phi.size, dtype=np.int64)) // block_acc - 1
-            np.multiply(block_phi, rem, out=block_phi, where=rem > 0)
-    if at is not None:
-        phi, acc = phi[at], acc[at]
-        rem = (first + modulus * at) // acc - 1
-        np.multiply(phi, rem, out=phi, where=rem > 0)
+        rem = (first + modulus * np.arange(b0, b0 + block_phi.size, dtype=np.int64)) // block_acc - 1
+        np.multiply(block_phi, rem, out=block_phi, where=rem > 0)
     return first, phi
+
+
+def _strike(phi, acc, i, v, p):
+    """For each strike k, the prime p[k] dividing the value v[k] at index
+    i[k]: phi[i] *= (p - 1) * p^(e-1) and acc[i] *= p^e, e found by dividing
+    v by p while it divides.  np.multiply.at, since an index may repeat."""
+    np.multiply.at(phi, i, p - 1)
+    np.multiply.at(acc, i, p)
+    rest = v // p
+    while (more := np.flatnonzero(rest % p == 0)).size:  # p^2, p^3, ... divide these
+        i, p = i[more], p[more]
+        rest = rest[more] // p
+        np.multiply.at(phi, i, p)
+        np.multiply.at(acc, i, p)
+
+
+def _totients_at(first, modulus, count, at, primes, split):
+    """phi at the members first + modulus*j, j in at, of count: the at path of
+    totient_progression, whose arrays are sized by at.  The base primes
+    before split are found by one modulus test of every read member against
+    all of them, _BLOCK tests at a time; the sparse rest come from
+    _sparse_strikes over the whole progression, of which only the strikes
+    on read members are kept (a flag per member marks them, and their
+    places in at come from a binary search).  Both go through _strike, so
+    the two tiers and the final division are those of the sweep."""
+    v = first + modulus * at
+    phi = np.ones(at.size, dtype=np.int64)
+    acc = np.ones(at.size, dtype=np.int64)
+    small = primes[:split]
+    rows = max(1, _BLOCK // max(small.size, 1))
+    for r0 in range(0, at.size, rows):
+        i, k = np.nonzero(v[r0 : r0 + rows, None] % small == 0)
+        i += r0
+        _strike(phi, acc, i, v[i], small[k])
+    read = np.zeros(count, dtype=bool)
+    read[at] = True
+    for j, p in _sparse_strikes(first, modulus, count, primes[split:], from_square=False):
+        keep = read[j]
+        i = np.searchsorted(at, j[keep])
+        _strike(phi, acc, i, v[i], p[keep])
+    rem = v // acc - 1
+    np.multiply(phi, rem, out=phi, where=rem > 0)
+    return phi
 
 
 @dataclass(frozen=True)

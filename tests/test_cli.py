@@ -270,6 +270,24 @@ class TestSearchExotic:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # A readable checkpoint that belongs to another search, or whose progress
+    # or hits do not fit this one, exits 2 with one line naming the file.
+    @pytest.mark.parametrize("content, reason", [
+        ("search_id exotic:2:1000:32\ncompleted 66\n0\n", "is for 'exotic:2:1000:32', not 'exotic:2:1000:64'"),
+        ("search_id exotic:2:1000:64\ncompleted 5000\n0\n", ": progress 5000 is not a segment end of [2, 1000)"),
+        ("search_id exotic:2:1000:64\ncompleted 66\n0\n2\n", ": hit m=2 is not a hit in [2, 66)"),
+    ], ids=["search-id", "progress", "hit"])
+    def test_mismatched_checkpoint_names_the_file(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "cp.txt"
+        path.write_text(content)
+        code, out, err = run(
+            capsys, "search-exotic", "--from", "2", "--to", "1000", "--segment-size", "64",
+            "--checkpoint", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: checkpoint file {path}")
+        assert reason in err and err.count("\n") == 1
+        assert path.read_text() == content
 
     # A checkpoint that cannot be read exits 2 with one line naming the file
     # and the reason.

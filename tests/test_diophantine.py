@@ -4,12 +4,13 @@ import os
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gphi import diophantine, sieve
-from gphi.arith import euler_phi, is_prime, odd_part, v2
+from gphi.arith import euler_phi, factorize, is_prime, odd_part, v2
 from gphi.diophantine import (
     MAX_EXOTIC_SEGMENT,
     MAX_JOBS,
@@ -46,6 +47,21 @@ def equation_holds(n):
     """Direct oracle, written out independently of the library internals."""
     tot = euler_phi(n)
     return tot + euler_phi(n + tot) == n
+
+
+def lemma_admits(q, q_min, q_max):
+    """The ratio lemma of diophantine._ratio_candidates, in exact fractions
+    from scalar factorize: 2/3 < phi(s)/s <= (2 q_min + 2)/(3 q_min) *
+    (257/256)^w, s the part of q made of primes below 257, w the largest
+    with 257^w <= q_max."""
+    ratio = Fraction(1)
+    for p, _ in factorize(q).factors:
+        if p < 257:
+            ratio *= Fraction(p - 1, p)
+    w = 0
+    while 257 ** (w + 1) <= q_max:
+        w += 1
+    return Fraction(2, 3) < ratio <= Fraction(2 * q_min + 2, 3 * q_min) * Fraction(257, 256) ** w
 
 
 _SIEVE_CLASS = sieve._sieve_class
@@ -305,21 +321,27 @@ class TestExoticSearch:
 
     # The benchmark's traced run requires the same call counts for every
     # exotic window and every state of the base-prime cache (cold at 2,
-    # grown at the higher window, then warm); a sieve recursing through its
-    # public names would call them more often the higher the window, or the
-    # colder the cache.
+    # grown at the higher window, then warm), and whether or not a companion
+    # passes the ratio filter (none of the 4 in the last window does); a
+    # sieve recursing through its public names would call them more often
+    # the higher the window, or the colder the cache.
     def test_segment_calls_do_not_grow_with_height(self, monkeypatch, cold_base_primes):
         calls = Counter()
+        asked = []
         for module in (sieve, diophantine):
             for name in ("base_primes", "primes_in_class", "totient_progression"):
                 original = getattr(module, name)
                 monkeypatch.setattr(module, name, lambda *a, f=original, n=name, **k: calls.update([n]) or f(*a, **k))
+        progression = diophantine.totient_progression
+        monkeypatch.setattr(diophantine, "totient_progression",
+                            lambda *a, at, f=progression: asked.append(len(at)) or f(*a, at=at))
         counts = []
-        for lo in (2, 9_900_000_000, 9_900_000_000):
+        for lo, width in ((2, 1 << 20), (9_900_000_000, 1 << 20), (9_900_000_000, 1 << 20), (9_900_000_000, 1 << 10)):
             calls.clear()
-            diophantine._exotic_segment((lo, lo + (1 << 20)))
+            diophantine._exotic_segment((lo, lo + width))
             counts.append(dict(calls))
-        assert counts == 3 * [{"base_primes": 1, "primes_in_class": 1, "totient_progression": 1}]
+        assert counts == 4 * [{"base_primes": 1, "primes_in_class": 1, "totient_progression": 1}]
+        assert asked[-1] == 0 and min(asked[:-1]) > 0
 
     # The 2-adic lemma behind sieving p = 15 (mod 16) only: from one phi
     # table of the companions 6m+5, every hit m <= 10^6 is 0 or odd.
@@ -348,7 +370,9 @@ class TestExoticSearch:
         assert diophantine._exotic_segment((lo, hi)) == hits
 
     # phi is evaluated only at the companions (3p - 1)/4 of the primes
-    # p = 15 (mod 16), along the progression 11 (mod 12).
+    # p = 15 (mod 16), along the progression 11 (mod 12), that pass the
+    # ratio lemma, here decided exactly from scalar factorize; they include
+    # every true hit (q = 35, p = 47, in the window from 2).
     def test_phi_only_at_prime_companions(self, monkeypatch):
         calls = []
         original = diophantine.totient_progression
@@ -359,10 +383,15 @@ class TestExoticSearch:
             return first, phi
 
         monkeypatch.setattr(diophantine, "totient_progression", spy)
-        lo, hi = 10 ** 9, 10 ** 9 + 50_000
-        diophantine._exotic_segment((lo, hi))
-        companions = [(3 * p - 1) // 4 for p in range(lo + (15 - lo) % 16, hi, 16) if is_prime(p)]
-        assert calls == [(11, 12, companions)]
+        for lo, hi in [(2, 50_000), (10 ** 9, 10 ** 9 + (1 << 20))]:
+            calls.clear()
+            diophantine._exotic_segment((lo, hi))
+            companions = [(3 * p - 1) // 4 for p in range(lo + (15 - lo) % 16, hi, 16) if is_prime(p)]
+            q_min, q_max = companions[0], companions[-1]
+            asked = [q for q in companions if lemma_admits(q, q_min, q_max)]
+            assert calls == [(11, 12, asked)]
+            assert 0 < len(asked) < len(companions) // 20
+            assert {q for q in companions if 3 * euler_phi(q) == 2 * q + 2} <= set(asked)
 
     # A search builds its base primes once, up to the root of its largest
     # value, before any segment runs: no segment, in this process or in a
@@ -400,8 +429,8 @@ class TestExoticSearch:
         assert pooled == exotic_prime_search(2, hi, segment_size=seg)
         assert [w.m for w in pooled] == [0, 5]
 
-    # MAX_EXOTIC_SEGMENT is sized from a segment's peak of at most 1.5
-    # bytes per value of width; numpy reports its buffers to tracemalloc.
+    # MAX_EXOTIC_SEGMENT is sized from a segment's peak of 0.82 bytes per
+    # value of width near 10^10; numpy reports its buffers to tracemalloc.
     def test_segment_peak_memory_per_value(self):
         lo, width = 9_900_000_000, 1 << 22
         diophantine._exotic_segment((lo, lo + 64))  # import-time and cached allocations
@@ -411,7 +440,7 @@ class TestExoticSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * width
+        assert peak <= 0.9 * width
 
     # Segments are made as they run: stopped after its first segment, a
     # search to 10^15 (about 2.4 * 10^8 segments) returns at once, its
@@ -506,6 +535,46 @@ class TestExoticSearch:
         with pytest.raises(SieveRangeError):
             exotic_prime_search(lo, MAX_SEARCH_VALUE + 1, max_segments=0)
         assert exotic_prime_search(lo, MAX_SEARCH_VALUE, max_segments=0) == []
+
+
+class TestRatioFilter:
+    """diophantine._ratio_candidates, which decides before any phi is sieved
+    which companions q = 11 (mod 12) of a segment can satisfy 3*phi(q) =
+    2q + 2."""
+
+    LIMIT = 2 * 10 ** 6
+    HITS = [35, 1295, 1679615]  # 1679615 = 1295 * 1297: r = 1297 needs w >= 1
+
+    # Every member below 2*10^6, prime companion or not, in windows of
+    # several widths (the narrower, the closer q_min comes to a hit) and in
+    # one-member windows at each hit (q_min = q_max = q, the tightest): the
+    # hits the phi table shows are all kept, and few other members are.
+    def test_keeps_every_hit_below_2_million(self):
+        phi = sieve.sieve_segment(2, self.LIMIT).phi
+        q = np.arange(11, self.LIMIT, 12, dtype=np.int64)
+        hits = q[3 * phi[q - 2] == 2 * q + 2]
+        assert hits.tolist() == self.HITS
+        for width in (q.size, 1 << 14, 1 << 10):
+            kept = np.concatenate([diophantine._ratio_candidates(int(q[a]), min(width, q.size - a))
+                                   for a in range(0, q.size, width)])
+            assert kept[(hits - 11) // 12].all(), width
+            assert kept.sum() < q.size // 10, width
+        for hit in self.HITS:
+            assert diophantine._ratio_candidates(hit, 1).tolist() == [True]
+
+    # The filter is the lemma, not a looser test.  The windows hold members
+    # on both sides of each bound: those of 5500 members reach q_max in
+    # [256^2, 257^2), where w = 1 but would be 2 in base 256, and those from
+    # 95 and 191 hold members between the bounds with (257/256)^w and with
+    # (256/255)^w.
+    @pytest.mark.parametrize("first, count", [
+        (11, 1), (35, 1), (11, 60), (47, 60), (11, 5500), (23, 5500), (35, 5500), (47, 5500),
+        (59, 5500), (95, 5493), (191, 5485),
+    ])
+    def test_agrees_with_the_exact_lemma(self, first, count):
+        members = range(first, first + 12 * count, 12)
+        expected = [lemma_admits(q, first, members[-1]) for q in members]
+        assert diophantine._ratio_candidates(first, count).tolist() == expected
 
 
 class TestRelaxedSearch:

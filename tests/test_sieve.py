@@ -299,6 +299,30 @@ class TestEvaluatedMembers:
         self.check(lo, hi, residue, modulus, struck[1::2])
         self.check(lo, hi, residue, modulus, [j for j in range(201) if j not in struck])
 
+    # Members divisible by 5^k and 7^k, whose powers pass _DENSE_BELOW and
+    # the strided tier, and by the square and cube of the sparse prime 1009,
+    # near 10^12: each with 40 random members around it.
+    @pytest.mark.parametrize("residue, modulus", [(0, 1), (11, 12)])
+    @pytest.mark.parametrize("base, powers", [(5, range(1, 18)), (7, range(1, 15)), (1009, (2, 3))])
+    def test_prime_power_members(self, base, powers, residue, modulus):
+        rng = random.Random(base * modulus)
+        for k in powers:
+            pk = base ** k
+            t = -(-10 ** 12 // pk)
+            t += (residue * pow(pk, -1, modulus) - t) % modulus
+            v = pk * t
+            lo, hi = v - 60 * modulus, v + 60 * modulus + 1
+            at = sorted({60, *rng.sample(range(121), 40)})
+            assert (lo + (residue - lo) % modulus) + modulus * 60 == v
+            self.check(lo, hi, residue, modulus, at)
+
+    # With a small _BLOCK the modulus tests of the dense and strided primes
+    # run a few members at a time.
+    def test_modulus_tests_span_several_chunks(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_BLOCK", 64)
+        lo = 10 ** 9 + 7
+        self.check(lo, lo + 12 * 3000, 11, 12, range(0, 3000, 3))
+
     def test_empty_progression(self):
         first, phi = totient_progression(6, 10, 5, 6, at=[])
         assert phi.size == 0
@@ -330,7 +354,7 @@ class TestBasePrimeCache:
         members = range(first, hi, modulus)
         assert phi.tolist() == [euler_phi(x) for x in members]
         assert primes.tolist() == [x for x in members if sympy.isprime(x)]
-        at = np.arange(0, phi.size, 7)
+        at = np.arange(0, phi.size, 6)  # P*P2 is member 60
         for bound in (p, p2 - 1, 4 * p2):
             cold_base_primes()
             base_primes(bound)
