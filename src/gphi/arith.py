@@ -225,9 +225,9 @@ def euler_phi(n):
 
 
 def g(n):
-    """One step of the totient-increment map, n + phi(n)."""
-    value = n + euler_phi(n)
-    if value > NATURAL_MAX:
+    """One step of the totient-increment map, n + phi(n).  An n at or past
+    NATURAL_MAX overflows without being factored, since phi(n) >= 1."""
+    if n >= NATURAL_MAX or (value := n + euler_phi(n)) > NATURAL_MAX:
         raise NaturalOverflowError(f"g({n}) exceeds {NATURAL_BITS} bits")
     return value
 

@@ -15,7 +15,6 @@ re-exported here.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 from contextlib import nullcontext
@@ -25,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 # euler_phi is not called here, but stays reachable as diophantine.euler_phi.
-from .arith import _check_natural, euler_phi, is_prime, v2
+from .arith import _TRIAL_PRIMES, _check_natural, euler_phi, v2
 from .equation import (
     _EXOTIC_SHAPES,
     FAMILIES,
@@ -45,7 +44,6 @@ from .sieve import (
     SearchCheckpoint,
     SegmentTooLargeError,
     SieveRangeError,
-    base_primes,
     primes_in_class,
     read_checkpoint,
     sieve_segment,
@@ -229,7 +227,7 @@ class ExoticWitness:
 # The ratio filter of _exotic_segment: the primes 5..251 make up a companion's
 # part s, every prime of its cofactor r is at least _RATIO_SPLIT.
 _RATIO_SPLIT = 257
-_RATIO_PRIMES = tuple(p for p in range(5, _RATIO_SPLIT) if is_prime(p))
+_RATIO_PRIMES = tuple(p for p in _TRIAL_PRIMES if 5 <= p < _RATIO_SPLIT)
 # Slack on both float thresholds of _ratio_candidates, far above their rounding.
 _RATIO_MARGIN = 1e-12
 
@@ -283,9 +281,9 @@ def _exotic_segment(bounds):
     257^omega(r) <= r <= q_max, so omega(r) <= w.  phi(s)/s depends only on
     which of the 52 primes 5..251 divide q, so 52 strided passes decide it;
     near 5*10^9 about one prime companion in 200 passes.  Exact phi alone
-    decides a hit.  Both kernels slice their base primes from the cache of
-    base_primes, and totient_progression runs, and reads that cache, even
-    when no companion passes."""
+    decides a hit.  Both kernels take their base primes from the cache of
+    base_primes, extending it to their roots, and totient_progression runs,
+    and reads that cache, even when no companion passes."""
     lo, hi = bounds
     hits = [0] if lo <= 7 < hi and _is_exotic(0) else []
     p = primes_in_class(lo, hi, 15, 16)
@@ -300,24 +298,14 @@ def _exotic_segment(bounds):
     return hits + ((p[phi == (p + 1) // 2] - 7) // 8).tolist()
 
 
-def _warm_segment(bounds, root):
-    """_exotic_segment in a pool worker whose cache of base_primes is first
-    filled to root, the search's.  A worker forked from the search inherits
-    that cache and only slices it.  One started afresh (spawn, or forkserver,
-    Linux's default from Python 3.14) builds it on its first segment, not
-    again for each later segment, whose root is above the last."""
-    base_primes(root)
-    return _exotic_segment(bounds)
-
-
-def _pool_segments(pool, segments, window, root):
+def _pool_segments(pool, segments, window):
     """(bounds, hits) of each segment in order, read lazily, at most window in
-    flight, each run by _warm_segment to root."""
-    pending = [(b, pool.submit(_warm_segment, b, root)) for b in islice(segments, window)]
+    flight, each run by _exotic_segment."""
+    pending = [(b, pool.submit(_exotic_segment, b)) for b in islice(segments, window)]
     while pending:
         bounds, future = pending.pop(0)
         yield bounds, future.result()
-        pending += [(b, pool.submit(_warm_segment, b, root)) for b in islice(segments, 1)]
+        pending += [(b, pool.submit(_exotic_segment, b)) for b in islice(segments, 1)]
 
 
 def exotic_prime_search(
@@ -334,15 +322,10 @@ def exotic_prime_search(
     Segment by segment, the p-range is sieved for primes in class 15 mod 16
     (hits other than m = 0 have odd m, see _exotic_segment) and phi is
     sieved at those of their companions q = (3p-1)/4, along the progression
-    11 mod 12, that pass a ratio lemma.  With s the part of q made of the
-    primes 5..251, a hit has phi(s)/s >= phi(q)/q = (2q + 2)/(3q) > 2/3,
-    and phi(s)/s <= (2*q_min + 2)/(3*q_min) * (257/256)^w over the
-    segment's companions q_min..q_max, w = floor(log_257 q_max), because
-    the rest r of q has at most w primes, each at least 257, so phi(r)/r >=
-    (256/257)^w (the full proof is in _exotic_segment).
-    The base primes up to sqrt(hi) fill the cache of base_primes before any
-    segment runs, so segments slice it; each pool worker fills its own to
-    the same root (see _warm_segment).  A pool, started only for jobs > 1,
+    11 mod 12, that pass a ratio lemma on phi(s)/s, s the part of q made of
+    the primes 5..251 (stated and proven in _exotic_segment).  Each
+    segment's kernels extend the cache of base_primes, in whichever process
+    runs it, to their own roots.  A pool, started only for jobs > 1,
     is fed segments lazily and its results merge in ascending range order;
     a checkpoint file makes the search resumable.
     max_segments limits how many segments run (for tests and partial runs).
@@ -375,9 +358,6 @@ def exotic_prime_search(
         hits = list(cp.hits)
     starts = range(start, hi, segment_size)[:max_segments]
     segments = ((a, min(a + segment_size, hi)) for a in starts)
-    root = max(math.isqrt(hi - 1), 2)  # p < hi and q < p: one build covers the roots of both ranges
-    if starts:
-        base_primes(root)
     pool = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a search with a pool loads it
@@ -385,7 +365,7 @@ def exotic_prime_search(
         pool = ProcessPoolExecutor(jobs)
     with pool or nullcontext():
         if pool:
-            results = _pool_segments(pool, segments, 4 * jobs, root)
+            results = _pool_segments(pool, segments, 4 * jobs)
         else:
             results = ((bounds, _exotic_segment(bounds)) for bounds in segments)
         for (seg_lo, seg_hi), seg_hits in results:

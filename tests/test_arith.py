@@ -186,6 +186,18 @@ class TestMap:
         with pytest.raises(NaturalOverflowError):
             g(3 << 190)
 
+    # n + phi(n) > n, so an n at or past the width overflows before it is
+    # factored: a hard n there would otherwise hold up the truncation.
+    def test_overflow_at_the_width_does_not_factor(self, monkeypatch):
+        def fail(n):
+            raise AssertionError(f"euler_phi({n}) called")
+
+        monkeypatch.setattr(arith, "euler_phi", fail)
+        with pytest.raises(NaturalOverflowError):
+            g(NATURAL_MAX)
+        orbit = iterate_g(NATURAL_MAX + 1, 3)
+        assert orbit.truncated and orbit.values == (NATURAL_MAX + 1,)
+
 
 class TestValuation:
     @pytest.mark.parametrize("n,e", [(7, 0), (8, 3), (12, 2), (1, 0)])

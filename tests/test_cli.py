@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gphi import arith, cli, diophantine
+import gphi
+from gphi import arith, cli, diophantine, sieve
 from gphi.cli import MAX_JOBS, main, resolve_jobs
 from gphi.diophantine import SolutionClass, SolutionKind
 from gphi.sieve import MAX_SIEVE_VALUE
@@ -248,7 +252,7 @@ class TestSearchExotic:
             raise RuntimeError("sieved")
 
         monkeypatch.setattr(diophantine, "_exotic_segment", fail)
-        monkeypatch.setattr(diophantine, "base_primes", fail)
+        monkeypatch.setattr(sieve, "_primes_to", fail)
         path = tmp_path / "missing" / "x.ckpt"
         code, out, err = run(
             capsys, "search-exotic", "--from", "2", "--to", "1000", "--checkpoint", str(path)
@@ -345,6 +349,22 @@ class TestOrbit:
         _, summary = json_records(out)
         assert code == 0
         assert any("truncated" in note for note in summary["truncations"])
+
+    # A 211-bit semiprime (the next primes after 2^100 and 2^110) is past the
+    # width, so it is truncated at k = 0 without being factored; factoring it
+    # would take far longer than the timeout.  A separate interpreter, so that
+    # the timeout can stop it.
+    def test_hard_n_past_the_width_is_not_factored(self):
+        n = 1645504557321206042154969182916951289002478841103157145133653303
+        src = str(Path(gphi.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gphi.cli", "orbit", "--n", str(n), "--kmax", "2", "--rmax", "1"],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, summary = json_records(proc.stdout)
+        assert summary["truncations"] == ["orbit truncated at k=0 (width limit)"]
 
     def test_repeat_runs_identical(self, capsys):
         _, out1, _ = run(capsys, "orbit", "--n", "385", "--rmax", "20")

@@ -3,11 +3,12 @@ import multiprocessing
 import os
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from gphi import diophantine, sieve
 from gphi.arith import euler_phi, factorize, is_prime, odd_part, v2
@@ -65,20 +66,21 @@ def lemma_admits(q, q_min, q_max):
 
 
 _SIEVE_CLASS = sieve._sieve_class
+_EXOTIC_SEGMENT = diophantine._exotic_segment
 _BUILD_LOG = "GPHI_TEST_BUILD_LOG"  # where spawned workers log their builds
 
 
 def logging_builds(log):
-    """sieve._sieve_class, but each base-prime build appends "<pid> <bound>"
-    to log.  A build is a modulus-1 class sieve outside another one (each
-    build sieves its own root first; every root in these tests fits one
-    window of it)."""
+    """sieve._sieve_class, but each base-prime build window appends
+    "<pid> <lo> <hi>" to log.  A build window is a modulus-1 class sieve
+    outside another one (the sieve of a window may first extend the cache
+    to its own root, and those nested values are not logged)."""
     depth = [0]
 
     def spy(lo, hi, residue, modulus):
         if modulus == 1 and not depth[0]:
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {hi - 1}\n")
+                fh.write(f"{os.getpid()} {lo} {hi}\n")
         depth[0] += modulus == 1
         try:
             return _SIEVE_CLASS(lo, hi, residue, modulus)
@@ -88,12 +90,29 @@ def logging_builds(log):
     return spy
 
 
-def warm_segment_logging_builds(bounds, root):
-    """diophantine._warm_segment in a spawned pool worker, which logs its
+def exotic_segment_logging_builds(bounds):
+    """diophantine._exotic_segment in a spawned pool worker, which logs its
     builds to the file named by _BUILD_LOG."""
     if sieve._sieve_class is _SIEVE_CLASS:
         sieve._sieve_class = logging_builds(os.environ[_BUILD_LOG])
-    return diophantine._warm_segment(bounds, root)
+    return _EXOTIC_SEGMENT(bounds)
+
+
+def build_windows(log):
+    """pid -> the [lo, hi) windows of that process's base-prime builds, in order."""
+    windows = defaultdict(list)
+    for line in log.read_text().splitlines():
+        pid, lo, hi = map(int, line.split())
+        windows[pid].append((lo, hi))
+    return windows
+
+
+def assert_each_value_sieved_once(windows):
+    """Each process's build windows tile [2, top) in order: every base-prime
+    value is sieved once, from a cold cache up."""
+    for pid, wins in windows.items():
+        assert [lo for lo, _ in wins] == [2] + [hi for _, hi in wins[:-1]], pid
+        assert all(lo < hi for lo, hi in wins), pid
 
 
 class TestIsSolution:
@@ -328,8 +347,9 @@ class TestExoticSearch:
     def test_segment_calls_do_not_grow_with_height(self, monkeypatch, cold_base_primes):
         calls = Counter()
         asked = []
-        for module in (sieve, diophantine):
-            for name in ("base_primes", "primes_in_class", "totient_progression"):
+        for module, names in ((sieve, ("base_primes", "primes_in_class", "totient_progression")),
+                              (diophantine, ("primes_in_class", "totient_progression"))):
+            for name in names:
                 original = getattr(module, name)
                 monkeypatch.setattr(module, name, lambda *a, f=original, n=name, **k: calls.update([n]) or f(*a, **k))
         progression = diophantine.totient_progression
@@ -393,10 +413,10 @@ class TestExoticSearch:
             assert 0 < len(asked) < len(companions) // 20
             assert {q for q in companions if 3 * euler_phi(q) == 2 * q + 2} <= set(asked)
 
-    # A search builds its base primes once, up to the root of its largest
-    # value, before any segment runs: no segment, in this process or in a
-    # forked worker, builds its own.  The log file also collects the builds
-    # of workers.
+    # A search sieves each base-prime value once per process: no process,
+    # the search's or a forked worker, builds a window twice, and together
+    # they reach the root of the largest value.  The log file also collects
+    # the builds of workers.
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_search_builds_base_primes_once(self, jobs, monkeypatch, tmp_path, cold_base_primes):
         log = tmp_path / "builds"
@@ -404,18 +424,19 @@ class TestExoticSearch:
         hi = 2 + 16 * (1 << 17)
         witnesses = exotic_prime_search(2, hi, segment_size=1 << 17, jobs=jobs)
         assert [w.m for w in witnesses] == [0, 5]
-        bounds = [int(line.split()[1]) for line in log.read_text().splitlines()]
-        assert len(bounds) == 1 and bounds[0] >= math.isqrt(hi - 1)
+        windows = build_windows(log)
+        assert_each_value_sieved_once(windows)
+        assert max(wins[-1][1] for wins in windows.values()) - 1 >= math.isqrt(hi - 1)
 
-    # A spawned worker inherits no cache.  It fills its own to the search's
-    # root on its first segment and slices it for the rest, each of whose
-    # higher roots would otherwise rebuild it: every process builds at most
-    # once, and the hits are those of the serial search.
+    # A spawned worker inherits no cache.  Its segments extend their own,
+    # each from where the last one stopped, so every worker sieves each
+    # base-prime value once; the search's process, which runs no segment,
+    # builds none.  The hits are those of the serial search.
     def test_pool_search_under_spawn(self, monkeypatch, tmp_path, cold_base_primes):
         log = tmp_path / "builds"
         monkeypatch.setenv(_BUILD_LOG, str(log))
         monkeypatch.setattr(sieve, "_sieve_class", logging_builds(log))
-        monkeypatch.setattr(diophantine, "_warm_segment", warm_segment_logging_builds)
+        monkeypatch.setattr(diophantine, "_exotic_segment", exotic_segment_logging_builds)
         hi, seg = 2 + 16 * (1 << 14), 1 << 14
         previous = multiprocessing.get_start_method(allow_none=True)
         multiprocessing.set_start_method("spawn", force=True)
@@ -423,9 +444,9 @@ class TestExoticSearch:
             pooled = exotic_prime_search(2, hi, segment_size=seg, jobs=2)
         finally:
             multiprocessing.set_start_method(previous, force=True)
-        builds = Counter(line.split()[0] for line in log.read_text().splitlines())
-        assert builds[str(os.getpid())] == 1 and len(builds) >= 2
-        assert max(builds.values()) == 1
+        windows = build_windows(log)
+        assert windows and os.getpid() not in windows
+        assert_each_value_sieved_once(windows)
         assert pooled == exotic_prime_search(2, hi, segment_size=seg)
         assert [w.m for w in pooled] == [0, 5]
 
@@ -544,6 +565,9 @@ class TestRatioFilter:
 
     LIMIT = 2 * 10 ** 6
     HITS = [35, 1295, 1679615]  # 1679615 = 1295 * 1297: r = 1297 needs w >= 1
+
+    def test_ratio_primes_are_5_to_251(self):
+        assert diophantine._RATIO_PRIMES == tuple(sympy.primerange(5, 257))
 
     # Every member below 2*10^6, prime companion or not, in windows of
     # several widths (the narrower, the closer q_min comes to a hit) and in

@@ -406,6 +406,30 @@ class TestBasePrimeCache:
         assert primes.size == 664579
         assert peak < 1.25 * limit
 
+    # An extension sieves only the values past the cache's bound, in windows
+    # that tile (a, b]; a limit within the bound sieves nothing.  Every root
+    # of these windows is within a, so no window extends the cache itself.
+    def test_extension_sieves_only_new_values(self, monkeypatch, cold_base_primes):
+        a, b = 10 ** 4, 10 ** 6
+        sieve._primes_to(a)
+        windows = []
+        original = sieve._sieve_class
+
+        def spy(lo, hi, residue, modulus):
+            if modulus == 1:
+                windows.append((lo, hi))
+            return original(lo, hi, residue, modulus)
+
+        monkeypatch.setattr(sieve, "_BASE_WINDOW", 1 << 16)
+        monkeypatch.setattr(sieve, "_sieve_class", spy)
+        assert sieve._primes_to(b).tolist() == list(sympy.primerange(2, b + 1))
+        assert len(windows) > 1 and windows[0][0] == a + 1 and windows[-1][1] == b + 1
+        assert all(hi == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
+        windows.clear()
+        for limit in (a, b - 1, b):
+            sieve._primes_to(limit)
+        assert windows == []
+
     def test_smaller_limit_after_larger(self, cold_base_primes):
         base_primes(10 ** 4)
         expected = list(sympy.primerange(2, 10 ** 4 + 1))
