@@ -239,6 +239,9 @@ def _emit(records, summary, fmt, out):
 
 
 def main(argv=None):
+    # gphi calls no BLAS routine, but OpenBLAS starts a thread per core when
+    # numpy loads, which costs CPU time; a user's own setting is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

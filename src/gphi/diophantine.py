@@ -58,8 +58,8 @@ from .sieve import (
 # that pass.  So its arrays stay near 330 MB.  On top come the base primes,
 # the cache of sieve.base_primes, which outlives the search, at 8 bytes per
 # prime up to sqrt(MAX_SEARCH_VALUE) at most, and the sparse strike pass's
-# arrays of about 48 bytes per base prime up to sqrt(hi), which grow with
-# height, not width (7.7 bytes per value of a 2^22 segment near 10^14).
+# arrays of about 48 bytes per base prime, taken 2^14 primes at a time, so
+# bounded at any height (0.78 bytes per value of a 2^22 segment near 10^14).
 MAX_EXOTIC_SEGMENT = 400_000_000
 
 # Both searches triple values in int64 (3p - 1 in _exotic_segment, 3*phi(n)
@@ -67,20 +67,28 @@ MAX_EXOTIC_SEGMENT = 400_000_000
 MAX_SEARCH_VALUE = (2**63 - 1) // 3
 
 
+# Values per sieve_segment call of the full-range sweeps (_phi_table and
+# relaxed_search).  A window holds about 34 bytes per value at its peak, so
+# 2^20 keeps relaxed_search near 34 MiB where 2^22 took 129 MiB, at no loss
+# of speed: the per-call cost is small against a million values.
+_SWEEP_WINDOW = 1 << 20
+
+
 class CheckpointMismatchError(ValueError):
     """Checkpoint on disk belongs to a different search or fails validation."""
 
 
 def _phi_table(limit):
-    """phi(v) for 2 <= v <= limit, indexed by value (phi[0] and phi[1] unused)."""
+    """phi(v) for 2 <= v <= limit, indexed by value (phi[0] and phi[1] unused),
+    filled by sieve_segment _SWEEP_WINDOW values at a time."""
     if limit >= MAX_SIEVE_VALUE:
         raise SieveRangeError(f"phi table to {limit} reaches the sieve maximum {MAX_SIEVE_VALUE}")
     try:
         phi = np.zeros(limit + 1, dtype=np.int64)
     except (MemoryError, ValueError) as exc:  # numpy raises ValueError past its size cap
         raise MemoryError(f"phi table to {limit} needs {8 * (limit + 1)} bytes") from exc
-    for lo in range(2, limit + 1, DEFAULT_SEGMENT_SIZE):
-        hi = min(lo + DEFAULT_SEGMENT_SIZE, limit + 1)
+    for lo in range(2, limit + 1, _SWEEP_WINDOW):
+        hi = min(lo + _SWEEP_WINDOW, limit + 1)
         phi[lo:hi] = sieve_segment(lo, hi).phi
     return phi
 
@@ -404,14 +412,16 @@ def relaxed_search(limit):
 
     Scans every n: hits are provably odd, but that is cheap to re-derive and
     the evenness claim stays a tested property instead of an assumption.
+    The scan walks [2, limit] in sieve_segment windows of _SWEEP_WINDOW
+    values, so its arrays are sized by one window, not by the range.
     """
     _check_natural(limit)
     if limit > MAX_SEARCH_VALUE:
         raise SieveRangeError(f"limit {limit} above the search maximum {MAX_SEARCH_VALUE}")
     found = []
-    twice_index = np.arange(0, 2 * min(DEFAULT_SEGMENT_SIZE, limit), 2, dtype=np.int64)
-    for lo in range(2, limit + 1, DEFAULT_SEGMENT_SIZE):
-        hi = min(lo + DEFAULT_SEGMENT_SIZE, limit + 1)
+    twice_index = np.arange(0, 2 * min(_SWEEP_WINDOW, limit), 2, dtype=np.int64)
+    for lo in range(2, limit + 1, _SWEEP_WINDOW):
+        hi = min(lo + _SWEEP_WINDOW, limit + 1)
         phi = sieve_segment(lo, hi).phi
         phi *= 3  # in place, no temporaries: 3*phi(lo + j) - 2*lo - 2 == 2*j
         phi -= 2 * lo + 2

@@ -26,7 +26,36 @@ _DENSE_BELOW = 1 << 8  # smaller prime powers hit every block 256 or more times
 # than in its strided write; such primes go through one vectorized pass.
 _STRIDED_HITS = 64
 _SPARSE_BATCH = 1 << 14  # strikes expanded at once by the sparse pass
+# Sparse primes taken at once: their per-prime arrays (about 48 bytes each)
+# stay bounded however high the window lies.
+_SPARSE_CHUNK = 1 << 14
 _BASE_WINDOW = 1 << 20  # values a base-prime build sieves at a time (1 MiB of flags)
+
+
+# The wheel (Pritchard, "Explaining the wheel sieve", Acta Informatica 1982):
+# for each residue r mod _WHEEL, the phi and acc factors of the prime powers
+# dividing _WHEEL that divide r, so of every v = r (mod _WHEEL).  The sweep
+# starts from these tables and strikes only the prime powers not dividing
+# _WHEEL: 16, 27, 25, 49 and every power of a prime above 7.
+_WHEEL = 2 ** 3 * 3 ** 2 * 5 * 7
+_WHEEL_PRIMES = (2, 3, 5, 7)
+
+
+def _wheel_tables():
+    r = np.arange(_WHEEL, dtype=np.int64)
+    phi = np.ones(_WHEEL, dtype=np.int64)
+    acc = np.ones(_WHEEL, dtype=np.int64)
+    for p in _WHEEL_PRIMES:
+        pe = p
+        while _WHEEL % pe == 0:
+            hit = r % pe == 0
+            phi[hit] *= p - 1 if pe == p else p
+            acc[hit] *= p
+            pe *= p
+    return phi, acc
+
+
+_WHEEL_PHI, _WHEEL_ACC = _wheel_tables()
 
 
 class SieveRangeError(ValueError):
@@ -79,8 +108,11 @@ def _progression(lo, hi, residue, modulus):
 def _sparse_split(primes, count, modulus):
     """Index of the first sparse prime in the ascending primes: from there on
     each p strikes fewer than _STRIDED_HITS of count members and exceeds the
-    modulus, so it is coprime to the modulus and below 2^31."""
-    return int(np.searchsorted(primes, max(count // _STRIDED_HITS, modulus), side="right"))
+    modulus, so it is coprime to the modulus and below 2^31.  It also
+    exceeds 7: the sweep presets the primes of the wheel, and _strike would
+    apply their full exponent again."""
+    floor = max(count // _STRIDED_HITS, modulus, _WHEEL_PRIMES[-1])
+    return int(np.searchsorted(primes, floor, side="right"))
 
 
 def _inverses(modulus, primes):
@@ -103,29 +135,31 @@ def _sparse_strikes(first, modulus, count, primes, from_square):
     member first + modulus*j is a multiple of p, for each p in primes, all
     from a _sparse_split tail; with from_square only members >= p^2.  The
     first index of p is -first / modulus (mod p), from residues below 2^31,
-    so products stay below 2^62."""
-    j0 = (-first) % primes * _inverses(modulus, primes) % primes
-    if from_square:
-        start = np.maximum(0, -((first - primes * primes) // modulus))
-        j0 = start + (j0 - start) % primes
-    hits = np.maximum(0, (count - j0 + primes - 1) // primes)
-    keep = hits > 0
-    primes, j0, hits = primes[keep], j0[keep], hits[keep]
-    if primes.size == 0:
-        return
-    ends = np.cumsum(hits)
-    cuts = np.searchsorted(ends, np.arange(_SPARSE_BATCH, int(ends[-1]), _SPARSE_BATCH), side="right")
-    edges = [0, *cuts.tolist(), primes.size]
-    for a, b in zip(edges, edges[1:]):
-        if a == b:  # only with a batch smaller than one prime's strikes
+    so products stay below 2^62.  Primes are taken _SPARSE_CHUNK at a time."""
+    for c0 in range(0, primes.size, _SPARSE_CHUNK):
+        chunk = primes[c0 : c0 + _SPARSE_CHUNK]
+        j0 = (-first) % chunk * _inverses(modulus, chunk) % chunk
+        if from_square:
+            start = np.maximum(0, -((first - chunk * chunk) // modulus))
+            j0 = start + (j0 - start) % chunk
+        hits = np.maximum(0, (count - j0 + chunk - 1) // chunk)
+        keep = hits > 0
+        chunk, j0, hits = chunk[keep], j0[keep], hits[keep]
+        if chunk.size == 0:
             continue
-        p, j, n = primes[a:b], j0[a:b], hits[a:b]
-        ps = np.repeat(p, n)
-        step = ps.copy()
-        last = j + (n - 1) * p
-        # each run of p starts by jumping from the previous run's last index
-        step[np.cumsum(n) - n] = j - np.concatenate(([0], last[:-1]))
-        yield np.cumsum(step, out=step), ps
+        ends = np.cumsum(hits)
+        cuts = np.searchsorted(ends, np.arange(_SPARSE_BATCH, int(ends[-1]), _SPARSE_BATCH), side="right")
+        edges = [0, *cuts.tolist(), chunk.size]
+        for a, b in zip(edges, edges[1:]):
+            if a == b:  # only with a batch smaller than one prime's strikes
+                continue
+            p, j, n = chunk[a:b], j0[a:b], hits[a:b]
+            ps = np.repeat(p, n)
+            step = ps.copy()
+            last = j + (n - 1) * p
+            # each run of p starts by jumping from the previous run's last index
+            step[np.cumsum(n) - n] = j - np.concatenate(([0], last[:-1]))
+            yield np.cumsum(step, out=step), ps
 
 
 def _sieve_class(lo, hi, residue, modulus):
@@ -207,12 +241,15 @@ def totient_progression(lo, hi, residue, modulus, at=None):
     Bays & Hudson's progression sieve (BIT 1977) without division in the
     loop: each prime power p^e multiplies phi by p - 1 or p and the smooth
     part acc by p; v // acc is then 1 or v's one prime factor above sqrt(hi).
-    Prime powers come in three tiers by how many members they hit.  Dense
-    (p^e < _DENSE_BELOW), which touch most cache lines, run block by block
-    in cache, as does the final division over every member.  Strided ones sweep the whole
-    range once per power.  Sparse primes, each hitting fewer than
-    _STRIDED_HITS members (see _sparse_split), are applied together from
-    _sparse_strikes by _strike, since two sparse primes may divide one value.
+    phi and acc start from the wheel of period _WHEEL = 2520 (Pritchard,
+    Acta Informatica 1982), which holds the factors of 2, 4, 8, 3, 9, 5 and
+    7; the other prime powers come in three tiers by how many members they
+    hit.  Dense (p^e < _DENSE_BELOW), which touch most cache lines, run
+    block by block in cache, as does the final division over every member
+    (_finish, unmasked).  Strided ones sweep the whole range once per power.
+    Sparse primes, each above 7 and hitting fewer than _STRIDED_HITS members
+    (see _sparse_split), are applied together from _sparse_strikes by
+    _strike, since two sparse primes may divide one value.
     """
     if modulus < 1 or math.gcd(residue, modulus) != 1:
         raise ValueError(f"residue {residue} not coprime to modulus {modulus}")
@@ -230,12 +267,19 @@ def totient_progression(lo, hi, residue, modulus, at=None):
     if at is not None:
         return first, _totients_at(first, modulus, count, at, primes, split)
     top = first + modulus * (count - 1)
-    phi = np.ones(count, dtype=np.int64)
-    acc = np.ones(count, dtype=np.int64)
+    # The wheel's factors repeat with period _WHEEL in j: gather them once
+    # and tile them over the progression.
+    j = np.arange(min(count, _WHEEL), dtype=np.int64)
+    residues = (first % _WHEEL + modulus % _WHEEL * j) % _WHEEL
+    phi = np.resize(_WHEEL_PHI[residues], count)
+    acc = np.resize(_WHEEL_ACC[residues], count)
     dense = []  # (p^e, first index it divides, phi factor, p), run per block
     for p in primes[:split].tolist():
         pe = p
         while pe <= top and modulus % p:
+            if _WHEEL % pe == 0:  # preset by the wheel
+                pe *= p
+                continue
             j0 = (-first * pow(modulus, -1, pe)) % pe
             if j0 >= count:
                 break
@@ -252,9 +296,18 @@ def totient_progression(lo, hi, residue, modulus, at=None):
         for pe, j0, factor, p in dense:
             block_phi[(j0 - b0) % pe :: pe] *= factor
             block_acc[(j0 - b0) % pe :: pe] *= p
-        rem = (first + modulus * np.arange(b0, b0 + block_phi.size, dtype=np.int64)) // block_acc - 1
-        np.multiply(block_phi, rem, out=block_phi, where=rem > 0)
+        v0 = first + modulus * b0
+        _finish(block_phi, block_acc, np.arange(v0, v0 + modulus * block_phi.size, modulus, dtype=np.int64))
     return first, phi
+
+
+def _finish(phi, acc, v):
+    """phi *= q - 1 where v // acc is a prime q, the one factor of v above
+    sqrt(hi) the strikes left; v // acc = 1 leaves phi as it is, so the
+    multiply needs no mask.  v is overwritten."""
+    v //= acc
+    v -= 1
+    phi *= np.maximum(v, 1, out=v)
 
 
 def _strike(phi, acc, i, v, p):
@@ -295,8 +348,7 @@ def _totients_at(first, modulus, count, at, primes, split):
         keep = read[j]
         i = np.searchsorted(at, j[keep])
         _strike(phi, acc, i, v[i], p[keep])
-    rem = v // acc - 1
-    np.multiply(phi, rem, out=phi, where=rem > 0)
+    _finish(phi, acc, v)
     return phi
 
 

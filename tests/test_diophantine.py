@@ -452,8 +452,11 @@ class TestExoticSearch:
 
     # MAX_EXOTIC_SEGMENT is sized from a segment's peak of 0.82 bytes per
     # value of width near 10^10; numpy reports its buffers to tracemalloc.
-    def test_segment_peak_memory_per_value(self):
-        lo, width = 9_900_000_000, 1 << 22
+    # Near 10^14 the sparse pass takes its 664,579 base primes in chunks, so
+    # the peak does not grow with height.
+    @pytest.mark.parametrize("lo", [9_900_000_000, 10 ** 14])
+    def test_segment_peak_memory_per_value(self, lo):
+        width = 1 << 22
         diophantine._exotic_segment((lo, lo + 64))  # import-time and cached allocations
         tracemalloc.start()
         try:
@@ -608,6 +611,19 @@ class TestRelaxedSearch:
 
     def test_known_list(self):
         assert relaxed_search(2_000_000) == [5, 35, 1295, 1679615]
+
+    # The scan holds one window of the sweep at a time, not the range: about
+    # 34 MiB to 10^7, where whole 2^22 segments took 129 MiB.
+    def test_peak_memory_to_10_million(self):
+        relaxed_search(10)  # import-time and cached allocations
+        tracemalloc.start()
+        try:
+            hits = relaxed_search(10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits == [5, 35, 1295, 1679615]
+        assert peak < 40 * 2 ** 20
 
     # 3*phi(n) must fit in int64; the guard must act before any sieving.
     def test_rejects_values_that_wrap_int64(self, monkeypatch):

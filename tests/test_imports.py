@@ -13,24 +13,37 @@ import gphi
 
 SRC = Path(gphi.__file__).resolve().parent.parent
 
-# Runs gphi's main on the arguments, then prints the loaded modules as the
-# last line of stderr.
+# Runs gphi's main on the arguments, then prints the loaded modules, the
+# OPENBLAS_NUM_THREADS setting and the process's thread count (None where
+# /proc is missing) as the last line of stderr.
 _PROBE = """\
-import json, sys
+import json, os, sys
 from gphi.cli import main
 code = main(sys.argv[1:])
-print(json.dumps(sorted(sys.modules)), file=sys.stderr)
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([sorted(sys.modules), os.environ.get("OPENBLAS_NUM_THREADS"), threads]), file=sys.stderr)
 sys.exit(code)
 """
 
 
-def modules_after(*argv):
-    """The modules loaded by the end of `gphi <argv>`, run in a fresh interpreter."""
+def probe(*argv, openblas=None):
+    """(modules, OPENBLAS_NUM_THREADS, threads) at the end of `gphi <argv>`,
+    run in a fresh interpreter with OPENBLAS_NUM_THREADS set to openblas or
+    unset."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     env.pop("GPHI_JOBS", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stderr.splitlines()[-1]))
+    modules, setting, threads = json.loads(proc.stderr.splitlines()[-1])
+    return set(modules), setting, threads
+
+
+def modules_after(*argv):
+    """The modules loaded by the end of `gphi <argv>`, run in a fresh interpreter."""
+    return probe(*argv)[0]
 
 
 def under(modules, *packages):
@@ -60,6 +73,16 @@ def test_serial_bulk_commands_load_no_pool(argv):
     assert "numpy" in modules and "gphi.diophantine" in modules
     assert "concurrent.futures.process" not in modules
     assert under(modules, "multiprocessing") == []
+
+
+# gphi calls no BLAS routine: numpy starts with one OpenBLAS thread, not
+# one per core, unless the user chose a count.
+@pytest.mark.parametrize("openblas, expected", [(None, "1"), ("3", "3")])
+def test_numpy_starts_with_one_blas_thread_unless_set(openblas, expected):
+    modules, setting, threads = probe("verify-theorem", "--limit", "10", openblas=openblas)
+    assert "numpy" in modules and setting == expected
+    if expected == "1" and threads is not None:
+        assert threads == 1
 
 
 def test_pool_search_loads_the_pool():

@@ -7,12 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from gphi import sieve
 from gphi.arith import _TRIAL_PRIMES, euler_phi
 from gphi.sieve import (
     _BLOCK,
     _STRIDED_HITS,
+    _WHEEL,
     _sparse_split,
     _sparse_strikes,
     SearchCheckpoint,
@@ -191,6 +193,50 @@ class TestTotientProgression:
         # no value congruent to 5 mod 6 inside [6, 10)
         _, phi = totient_progression(6, 10, 5, 6)
         assert phi.size == 0
+
+
+class TestWheel:
+    """The sweep starts phi and acc from the wheel of period _WHEEL = 2520,
+    which holds the prime powers 2, 4, 8, 3, 9, 5 and 7; the strikes add
+    16, 27, 25, 49 and every other prime power, and 2, 3, 5 and 7 never
+    reach the sparse tier, which would apply their full exponent again."""
+
+    # Windows from 2 whose last members are 16, 27, 25, 49, 2^k or 7^2*k,
+    # with too few members for 2, 3, 5 and 7 to stride.
+    def test_every_window_from_2_to_600(self):
+        phi = [euler_phi(v) for v in range(2, 600)]
+        for hi in range(3, 601):
+            assert sieve_segment(2, hi).phi.tolist() == phi[: hi - 2], hi
+
+    # Moduli sharing primes with the wheel and moduli coprime to it; counts
+    # that cross block edges and wheel periods; starts at 1, at 2 and near
+    # 2^40.  Each example checks every member near the start, the end, each
+    # block edge and the first wheel periods, and 64 more at random, in both
+    # the sweep and the at path.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        modulus=st.sampled_from([1, 2, 6, 12, 16, 2520, 11, 77]),
+        lo=st.one_of(st.just(1), st.just(2), st.integers(2 ** 40 - 5000, 2 ** 40 + 5000)),
+        count=st.one_of(st.integers(1, 3 * _WHEEL), st.integers(1, 3 * _BLOCK + 77)),
+        pick=st.integers(0, 2 ** 32),
+    )
+    @example(modulus=1, lo=2, count=3 * _BLOCK + 77, pick=0)
+    @example(modulus=16, lo=1, count=3 * _BLOCK + 77, pick=1)
+    @example(modulus=2520, lo=2 ** 40, count=_BLOCK + 1, pick=2)
+    @example(modulus=77, lo=2 ** 40 - 3, count=_WHEEL + 1, pick=3)
+    def test_sweep_and_at_path_match_euler_phi(self, modulus, lo, count, pick):
+        residue = [r for r in range(modulus) if math.gcd(r, modulus) == 1][pick % sympy.totient(modulus)]
+        first = lo + (residue - lo) % modulus
+        hi = first + modulus * (count - 1) + 1
+        got_first, phi = totient_progression(lo, hi, residue, modulus)
+        assert got_first == first and phi.size == count
+        near = [0, count - 1, *range(0, count, _BLOCK), *range(0, min(count, 4 * _WHEEL), _WHEEL)]
+        rng = random.Random(pick)
+        at = sorted({j for b in near for j in range(b - 3, b + 4) if 0 <= j < count}
+                    | {rng.randrange(count) for _ in range(64)})
+        want = [euler_phi(first + modulus * j) for j in at]
+        assert phi[at].tolist() == want
+        assert totient_progression(lo, hi, residue, modulus, at=at)[1].tolist() == want
 
 
 class TestSparseTier:
