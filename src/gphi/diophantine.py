@@ -322,7 +322,6 @@ def exotic_prime_search(
     segment_size=DEFAULT_SEGMENT_SIZE,
     jobs=1,
     checkpoint_path=None,
-    max_segments=None,
     progress=None,
 ):
     """Find all m with p = 8m+7 prime in [lo, hi) and phi(6m+5) = 4m+4.
@@ -335,8 +334,8 @@ def exotic_prime_search(
     segment's kernels extend the cache of base_primes, in whichever process
     runs it, to their own roots.  A pool, started only for jobs > 1,
     is fed segments lazily and its results merge in ascending range order;
-    a checkpoint file makes the search resumable.
-    max_segments limits how many segments run (for tests and partial runs).
+    a checkpoint file, written after each segment and before
+    progress(seg_lo, seg_hi, seg_hits), makes the search resumable.
     """
     if not 2 <= lo < hi:
         raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi})")
@@ -364,8 +363,7 @@ def exotic_prime_search(
         _check_resume(checkpoint_path, cp, lo, hi, segment_size)
         start = cp.last_completed_hi
         hits = list(cp.hits)
-    starts = range(start, hi, segment_size)[:max_segments]
-    segments = ((a, min(a + segment_size, hi)) for a in starts)
+    segments = ((a, min(a + segment_size, hi)) for a in range(start, hi, segment_size))
     pool = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a search with a pool loads it

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import _check_natural, euler_phi, factorize, is_prime, v2
+from .arith import NATURAL_BITS, _check_natural, euler_phi, factorize, is_prime, v2
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -61,7 +61,7 @@ def _is_exotic(m):
 def family_members(kind, ell_max, m=None):
     """Members 2^ell * q of one solution family, from its least ell up to
     ell_max, each re-confirmed as a solution (so an exotic kind's m must
-    satisfy _is_exotic)."""
+    satisfy _is_exotic); ValueError first if one passes NATURAL_BITS bits."""
     if ell_max < 1:
         raise ValueError("ell_max must be positive")
     if kind in FAMILIES:
@@ -75,6 +75,8 @@ def family_members(kind, ell_max, m=None):
         q, start = a * m + b, 1
     else:
         raise ValueError(f"no family for kind {kind!r}")
+    if q.bit_length() + ell_max > NATURAL_BITS:
+        raise ValueError(f"member {q} * 2^{ell_max} is past the {NATURAL_BITS}-bit width")
     members = [q << ell for ell in range(start, ell_max + 1)]
     for candidate in members:
         if not is_solution(candidate):

@@ -130,18 +130,15 @@ def _inverses(modulus, primes):
     return k * (primes // modulus) + c
 
 
-def _sparse_strikes(first, modulus, count, primes, from_square):
+def _sparse_strikes(first, modulus, count, primes):
     """Batches (j, p) of equal-length arrays: every index j < count whose
     member first + modulus*j is a multiple of p, for each p in primes, all
-    from a _sparse_split tail; with from_square only members >= p^2.  The
-    first index of p is -first / modulus (mod p), from residues below 2^31,
-    so products stay below 2^62.  Primes are taken _SPARSE_CHUNK at a time."""
+    from a _sparse_split tail.  The first index of p is -first / modulus
+    (mod p), the strike rule of both kernels, from residues below 2^31, so
+    products stay below 2^62.  Primes are taken _SPARSE_CHUNK at a time."""
     for c0 in range(0, primes.size, _SPARSE_CHUNK):
         chunk = primes[c0 : c0 + _SPARSE_CHUNK]
         j0 = (-first) % chunk * _inverses(modulus, chunk) % chunk
-        if from_square:
-            start = np.maximum(0, -((first - chunk * chunk) // modulus))
-            j0 = start + (j0 - start) % chunk
         hits = np.maximum(0, (count - j0 + chunk - 1) // chunk)
         keep = hits > 0
         chunk, j0, hits = chunk[keep], j0[keep], hits[keep]
@@ -163,15 +160,18 @@ def _sparse_strikes(first, modulus, count, primes, from_square):
 
 
 def _sieve_class(lo, hi, residue, modulus):
-    """Primes p = residue (mod modulus) in [lo, hi), lo >= 2, ascending, from one
-    flag per member of the class.  Each base prime p, from the cache of
-    _primes_to (itself filled by this sieve), strikes its multiples in the
-    class from the first at or above p^2.
+    """Primes p = residue (mod modulus) in [lo, hi), lo >= 2, gcd(residue,
+    modulus) = 1, ascending, from one flag per member of the class.  Each
+    base prime p, from the cache of _primes_to (itself filled by this
+    sieve), strikes its multiples in the class from the first, by the rule
+    of totient_progression.  A composite member has a prime factor at most
+    sqrt(hi), none dividing the modulus, so it is struck; a prime member is
+    struck only as a base prime, by itself, and the base primes of the
+    window and class (none above the first window) are marked again.
 
     Base primes come in two tiers.  Strided: each p up to the _sparse_split
-    point writes every p-th member in one slice, or every member if p divides
-    modulus and residue, or none if p divides the modulus only; the flags are
-    one byte each, so no small prime needs the block loop of
+    point not dividing the modulus writes every p-th member in one slice;
+    the flags are one byte each, so no small prime needs the block loop of
     totient_progression.  Sparse: all larger p, which strike fewer than
     _STRIDED_HITS members each, are struck together by _sparse_strikes."""
     first, count = _progression(lo, hi, residue, modulus)
@@ -179,14 +179,12 @@ def _sieve_class(lo, hi, residue, modulus):
     primes = _primes_to(math.isqrt(first + modulus * (count - 1)) if count else 0)
     split = _sparse_split(primes, count, modulus)
     for p in primes[:split].tolist():
-        start = max(0, -((first - p * p) // modulus))  # first member >= p^2
         if modulus % p:
-            start += (-(first + modulus * start) * pow(modulus, -1, p)) % p
-            flags[start::p] = False
-        elif residue % p == 0:
-            flags[start:] = False
-    for j, _ in _sparse_strikes(first, modulus, count, primes[split:], from_square=True):
+            flags[(-first * pow(modulus, -1, p)) % p :: p] = False
+    for j, _ in _sparse_strikes(first, modulus, count, primes[split:]):
         flags[j] = False  # a repeated index strikes the same flag again
+    own = primes[int(np.searchsorted(primes, first)) :]
+    flags[(own[own % modulus == residue] - first) // modulus] = True
     return np.flatnonzero(flags) * modulus + first
 
 
@@ -217,10 +215,10 @@ def sieve_segment(lo, hi):
 
 
 def primes_in_class(lo, hi, residue, modulus):
-    """All primes p in [lo, hi) with p congruent to residue mod modulus; the
-    base primes are sliced from the cache of base_primes."""
-    if modulus < 1 or not 0 <= residue < modulus:
-        raise ValueError(f"invalid residue class {residue} mod {modulus}")
+    """All primes p = residue (mod modulus) in [lo, hi), gcd(residue, modulus)
+    = 1 as in totient_progression; base primes come from base_primes' cache."""
+    if modulus < 1 or not 0 <= residue < modulus or math.gcd(residue, modulus) != 1:
+        raise ValueError(f"residue class {residue} mod {modulus} is not a coprime class")
     _check_range(max(lo, 2), max(hi, 3))
     return _sieve_class(max(lo, 2), hi, residue, modulus)
 
@@ -289,7 +287,7 @@ def totient_progression(lo, hi, residue, modulus, at=None):
                 phi[j0::pe] *= p - 1 if pe == p else p
                 acc[j0::pe] *= p
             pe *= p
-    for j, p in _sparse_strikes(first, modulus, count, primes[split:], from_square=False):
+    for j, p in _sparse_strikes(first, modulus, count, primes[split:]):
         _strike(phi, acc, j, first + modulus * j, p)
     for b0 in range(0, count, _BLOCK):
         block_phi, block_acc = phi[b0 : b0 + _BLOCK], acc[b0 : b0 + _BLOCK]
@@ -344,7 +342,7 @@ def _totients_at(first, modulus, count, at, primes, split):
         _strike(phi, acc, i, v[i], small[k])
     read = np.zeros(count, dtype=bool)
     read[at] = True
-    for j, p in _sparse_strikes(first, modulus, count, primes[split:], from_square=False):
+    for j, p in _sparse_strikes(first, modulus, count, primes[split:]):
         keep = read[j]
         i = np.searchsorted(at, j[keep])
         _strike(phi, acc, i, v[i], p[keep])

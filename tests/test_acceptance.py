@@ -10,6 +10,7 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from gphi.arith import euler_phi, lemma_predicate, LemmaKind, v2
 from gphi.cli import main
@@ -23,6 +24,10 @@ from gphi.orbits import Persistence, detect_relations
 from gphi.sieve import base_primes, sieve_segment
 
 LIMIT = 10 ** 6
+
+
+class Interrupted(Exception):
+    pass
 
 
 def _cli_json(capsys, *argv):
@@ -190,7 +195,15 @@ def test_criterion_8_sieve_correctness(tmp_path):
     lo, hi = 2, 20_000_000
     plain = exotic_prime_search(lo, hi)
     path = tmp_path / "resume.ckpt"
-    exotic_prime_search(lo, hi, checkpoint_path=path, max_segments=2)
+    finished = []
+
+    def interrupt(*segment):  # runs after the segment's checkpoint is written
+        finished.append(segment)
+        if len(finished) == 2:
+            raise Interrupted()
+
+    with pytest.raises(Interrupted):
+        exotic_prime_search(lo, hi, checkpoint_path=path, progress=interrupt)
     resumed = exotic_prime_search(lo, hi, checkpoint_path=path)
     assert resumed == plain
     assert [w.m for w in resumed] == [0, 5]

@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,12 @@ def strip_timing(out):
     summary = dict(summary)
     summary.pop("elapsed_ms")
     return records, summary
+
+
+def cli_env():
+    """The environment of a separate interpreter that imports this gphi."""
+    src = str(Path(gphi.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestSolutions:
@@ -314,6 +322,76 @@ class TestSearchExotic:
         assert path.read_bytes() == content
 
 
+def live_group_members(pgid):
+    """Pids of the processes of group pgid that have not exited, from /proc."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, group = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except OSError:  # the process has gone
+            continue
+        if int(group) == pgid and state not in "ZX":
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+def finished_segments(path, segment_size):
+    """Segments of a search from 2 that the checkpoint at path records, 0 without one."""
+    return (sieve.read_checkpoint(path).last_completed_hi - 2) // segment_size if path.exists() else 0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process groups from /proc")
+class TestCrashResume:
+    """search-exotic --checkpoint killed by SIGKILL with its whole process
+    group, pool workers included: before its first checkpoint, and once the
+    checkpoint shows 10 and 100 finished segments.  Run again, it prints the
+    stdout, minus elapsed_ms, and leaves the checkpoint bytes of a run that
+    was never killed."""
+
+    SEGMENT = 131072
+    HI = 10 ** 8  # 763 segments, about 2 s of work on a 2-core host
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_killed_search_resumes_to_the_same_output(self, tmp_path, jobs):
+        argv = (sys.executable, "-m", "gphi.cli", "search-exotic", "--from", "2", "--to", str(self.HI),
+                "--segment-size", str(self.SEGMENT), "--checkpoint", "search.ckpt", "--jobs", jobs)
+
+        def start(cwd):  # in a process group of its own, which the kill takes whole
+            return subprocess.Popen(argv, cwd=cwd, env=cli_env(), text=True, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, start_new_session=True)
+
+        def complete(cwd):
+            with start(cwd) as proc:
+                out, err = proc.communicate(timeout=120)
+            assert (proc.returncode, err) == (0, "")
+            return strip_timing(out), (cwd / "search.ckpt").read_bytes()
+
+        (tmp_path / "plain").mkdir()
+        plain = complete(tmp_path / "plain")
+        for segments in (0, 10, 100):
+            cwd = tmp_path / f"killed-{segments}"
+            cwd.mkdir()
+            checkpoint = cwd / "search.ckpt"
+            with start(cwd) as proc:
+                try:
+                    deadline = time.monotonic() + 60
+                    while segments and finished_segments(checkpoint, self.SEGMENT) < segments:
+                        assert proc.poll() is None and time.monotonic() < deadline
+                        time.sleep(0.001)
+                finally:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.communicate(timeout=60)
+            assert proc.returncode == -signal.SIGKILL
+            deadline = time.monotonic() + 10
+            while live_group_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert live_group_members(proc.pid) == []
+            done = finished_segments(checkpoint, self.SEGMENT)
+            assert segments <= done < (self.HI - 2) // self.SEGMENT
+            assert checkpoint.exists() == (segments > 0)
+            assert complete(cwd) == plain, segments
+
+
 class TestSearchRelaxed:
     def test_small(self, capsys):
         code, out, _ = run(capsys, "search-relaxed", "--limit", "40")
@@ -356,11 +434,9 @@ class TestOrbit:
     # the timeout can stop it.
     def test_hard_n_past_the_width_is_not_factored(self):
         n = 1645504557321206042154969182916951289002478841103157145133653303
-        src = str(Path(gphi.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "gphi.cli", "orbit", "--n", str(n), "--kmax", "2", "--rmax", "1"],
-            capture_output=True, text=True, env=env, timeout=20,
+            capture_output=True, text=True, env=cli_env(), timeout=20,
         )
         assert proc.returncode == 0, proc.stderr
         _, summary = json_records(proc.stdout)
@@ -409,6 +485,24 @@ class TestFamilies:
         records, _ = json_records(out)
         assert code == 0
         assert [r["n"] for r in records] == [70, 140]
+
+    # 47 * 2^186 is the last member within the 192-bit width.
+    def test_max_exponent_up_to_the_width(self, capsys):
+        code, out, _ = run(capsys, "families", "--max-exponent", "186")
+        records, _ = json_records(out)
+        assert code == 0
+        assert records[-1] == {"kind": "family_47", "ell": 186, "n": 47 << 186}
+        assert max(r["n"] for r in records).bit_length() == 192
+
+    # 47 * 2^187 (and 35 * 2^187) pass 2^192; the width is checked before
+    # any member is built, so a huge exponent fails at once.
+    @pytest.mark.parametrize("exponent", ["187", "20000"])
+    def test_max_exponent_past_the_width_is_parameter_error(self, capsys, exponent):
+        started = time.monotonic()
+        code, out, err = run(capsys, "families", "--max-exponent", exponent)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "192-bit width" in err and err.count("\n") == 1
+        assert time.monotonic() - started < 1
 
     # m = 1 is not exotic: 15 is not prime
     @pytest.mark.parametrize("kind", ["exotic_a", "exotic_b"])

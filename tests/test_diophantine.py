@@ -115,6 +115,28 @@ def assert_each_value_sieved_once(windows):
         assert all(lo < hi for lo, hi in wins), pid
 
 
+class StopSearch(Exception):
+    pass
+
+
+def stop_after(k):
+    """A progress callback that stops a search after its k-th segment, whose
+    checkpoint is written before the callback runs."""
+    seen = []
+
+    def progress(*event):
+        seen.append(event)
+        if len(seen) == k:
+            raise StopSearch(event)
+
+    return progress
+
+
+def no_segment(bounds):
+    """A stand-in for _exotic_segment that sieves nothing."""
+    raise StopSearch(f"sieved {bounds}")
+
+
 class TestIsSolution:
     @pytest.mark.parametrize("n,expected", [(10, True), (2, False), (12, True), (1, False), (94, True)])
     def test_examples(self, n, expected):
@@ -317,18 +339,24 @@ class TestExoticSearch:
             assert euler_phi((3 * w.p - 1) // 4) == (w.p + 1) // 2
 
     # Many segments through the pool: the same hits, per-segment progress and
-    # final checkpoint bytes serially, in parallel, and resumed in parallel.
+    # final checkpoint bytes serially, in parallel, and resumed in parallel
+    # after a progress callback stopped the search at its fifth segment.
     def test_deterministic_across_jobs(self, tmp_path):
         events = {}
 
-        def search(name, jobs, max_segments=None):
+        def search(name, jobs, stop_at=None):
+            def progress(*event):
+                events.setdefault(name, []).append(event)
+                if len(events[name]) == stop_at:
+                    raise StopSearch()
+
             return exotic_prime_search(2, 2 * 10 ** 6, segment_size=1 << 17, jobs=jobs,
-                                       checkpoint_path=tmp_path / name, max_segments=max_segments,
-                                       progress=lambda *e: events.setdefault(name, []).append(e))
+                                       checkpoint_path=tmp_path / name, progress=progress)
 
         serial = search("serial", 1)
         parallel = search("parallel", 2)
-        search("resumed", 2, max_segments=5)
+        with pytest.raises(StopSearch):
+            search("resumed", 2, stop_at=5)
         assert read_checkpoint(tmp_path / "resumed").last_completed_hi == 2 + 5 * (1 << 17)
         resumed = search("resumed", 2)
         assert [w.m for w in serial] == [0, 5]
@@ -471,17 +499,11 @@ class TestExoticSearch:
     # parent holding little more than the base primes to sqrt(10^15).
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_segments_stream_lazily(self, jobs):
-        class Stop(Exception):
-            pass
-
-        def stop(*event):
-            raise Stop(event)
-
         started = time.monotonic()
         tracemalloc.start()
         try:
-            with pytest.raises(Stop):
-                exotic_prime_search(2, 10 ** 15, jobs=jobs, progress=stop)
+            with pytest.raises(StopSearch):
+                exotic_prime_search(2, 10 ** 15, jobs=jobs, progress=stop_after(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -492,9 +514,8 @@ class TestExoticSearch:
         lo, hi, seg = 2, 3_000_000, 1 << 19
         plain = exotic_prime_search(lo, hi, segment_size=seg)
         path = tmp_path / "resume.ckpt"
-        exotic_prime_search(lo, hi, segment_size=seg, checkpoint_path=path, max_segments=2)
-        from gphi.sieve import read_checkpoint
-
+        with pytest.raises(StopSearch):
+            exotic_prime_search(lo, hi, segment_size=seg, checkpoint_path=path, progress=stop_after(2))
         assert read_checkpoint(path).last_completed_hi == lo + 2 * seg  # interrupted
         resumed = exotic_prime_search(lo, hi, segment_size=seg, checkpoint_path=path)
         assert resumed == plain
@@ -542,23 +563,27 @@ class TestExoticSearch:
         with pytest.raises(ValueError, match="jobs"):
             exotic_prime_search(2, 100, jobs=jobs)
 
-    # max_segments=0: no segment is sieved even if the width check fails.
-    def test_rejects_oversized_segment(self):
+    # With a stub segment, a broken width check sieves nothing.
+    def test_rejects_oversized_segment(self, monkeypatch):
+        monkeypatch.setattr(diophantine, "_exotic_segment", no_segment)
         with pytest.raises(SegmentTooLargeError):
-            exotic_prime_search(2, 10 ** 12, segment_size=MAX_EXOTIC_SEGMENT + 1, max_segments=0)
-        assert exotic_prime_search(2, 10 ** 12, segment_size=MAX_EXOTIC_SEGMENT, max_segments=0) == []
+            exotic_prime_search(2, 10 ** 12, segment_size=MAX_EXOTIC_SEGMENT + 1)
+        with pytest.raises(StopSearch, match=f"sieved \\(2, {2 + MAX_EXOTIC_SEGMENT}\\)"):
+            exotic_prime_search(2, 10 ** 12, segment_size=MAX_EXOTIC_SEGMENT)
 
     def test_huge_segment_size_over_small_range(self):
         assert [w.m for w in exotic_prime_search(2, 100, segment_size=10 ** 15)] == [0, 5]
 
-    # 3p - 1 must fit in int64.  max_segments=0: a broken guard returns at
+    # 3p - 1 must fit in int64.  With a stub segment, a broken guard stops at
     # once instead of sieving near 10^18.
-    def test_rejects_values_that_wrap_int64(self):
+    def test_rejects_values_that_wrap_int64(self, monkeypatch):
         assert 3 * MAX_SEARCH_VALUE <= np.iinfo(np.int64).max < 3 * (MAX_SEARCH_VALUE + 1)
+        monkeypatch.setattr(diophantine, "_exotic_segment", no_segment)
         lo = MAX_SEARCH_VALUE - (1 << 22)
         with pytest.raises(SieveRangeError):
-            exotic_prime_search(lo, MAX_SEARCH_VALUE + 1, max_segments=0)
-        assert exotic_prime_search(lo, MAX_SEARCH_VALUE, max_segments=0) == []
+            exotic_prime_search(lo, MAX_SEARCH_VALUE + 1)
+        with pytest.raises(StopSearch, match=f"sieved \\({lo}, {MAX_SEARCH_VALUE}\\)"):
+            exotic_prime_search(lo, MAX_SEARCH_VALUE)
 
 
 class TestRatioFilter:
@@ -658,6 +683,16 @@ class TestFamilyMembers:
 
     def test_family_47(self):
         assert family_members(SolutionKind.FAMILY_47, 2) == [94, 188]
+
+    # 2^191 is the largest power of 2 within the 192-bit width; the check
+    # comes before any member is built, so a huge exponent costs nothing.
+    def test_members_stay_within_the_width(self):
+        assert family_members(SolutionKind.POWER_OF_2, 191)[-1] == 1 << 191
+        assert family_members(SolutionKind.FAMILY_47, 186)[-1] == 47 << 186
+        for kind, ell_max in ((SolutionKind.POWER_OF_2, 192), (SolutionKind.FAMILY_47, 187),
+                              (SolutionKind.POWER_OF_2, 10 ** 18)):
+            with pytest.raises(ValueError, match="192-bit width"):
+                family_members(kind, ell_max)
 
     def test_exotic_kinds_need_m(self):
         with pytest.raises(ValueError):

@@ -105,8 +105,10 @@ class TestPrimesInClass:
     def test_7_mod_8(self):
         assert primes_in_class(2, 100, 7, 8).tolist() == [7, 23, 31, 47, 71, 79]
 
+    # 0 mod 2 holds the prime 2, but the class shares 2 with the modulus.
     def test_even_prime(self):
-        assert primes_in_class(2, 10, 0, 2).tolist() == [2]
+        with pytest.raises(ValueError, match="coprime"):
+            primes_in_class(2, 10, 0, 2)
 
     def test_3_mod_4(self):
         assert primes_in_class(2, 50, 3, 4).tolist() == [3, 7, 11, 19, 23, 31, 43, 47]
@@ -118,9 +120,9 @@ class TestPrimesInClass:
         with pytest.raises(ValueError):
             primes_in_class(2, 10, 5, 4)
 
-    # Every class, also those sharing a factor with the modulus, on windows
-    # that start below 2, at a base prime p (p itself must survive), and at
-    # p^2 and p^2 +- modulus, where striking by p begins.
+    # Every coprime class on windows that start below 2, at a base prime p
+    # (which strikes itself and must be marked again), and at p^2 and
+    # p^2 +- modulus; every other class is refused.
     @pytest.mark.parametrize("modulus", [1, 2, 3, 4, 6, 8, 9, 12, 30])
     def test_matches_sympy_in_every_class(self, modulus):
         windows = [(-7, 60), (0, 0), (0, 3), (1, 2), (-5, -9), (2, 2), (2, 3)]
@@ -130,9 +132,27 @@ class TestPrimesInClass:
         for lo, hi in windows:
             primes = list(sympy.primerange(max(lo, 2), hi))
             for residue in range(modulus):
+                if math.gcd(residue, modulus) != 1:
+                    with pytest.raises(ValueError, match="coprime"):
+                        primes_in_class(lo, hi, residue, modulus)
+                    continue
                 got = primes_in_class(lo, hi, residue, modulus)
                 assert got.dtype == np.int64
                 assert got.tolist() == [p for p in primes if p % modulus == residue], (lo, hi, residue)
+
+    # Windows whose sparse base primes lie inside them, so they strike
+    # themselves and only the re-mark keeps them: 37, 41 and 43 in the
+    # 2000 values from 2, and 47, 79 and 127 among the first 2000 members
+    # of 15 mod 16.
+    @pytest.mark.parametrize("residue, modulus, sparse", [(0, 1, [37, 41, 43]), (15, 16, [47, 79, 127])])
+    def test_sparse_base_primes_inside_the_window(self, residue, modulus, sparse):
+        lo, hi = 2, 2 + modulus * 2000
+        first = lo + (residue - lo) % modulus
+        primes = base_primes(math.isqrt(first + modulus * 1999))
+        tail = primes[_sparse_split(primes, 2000, modulus):]
+        assert [p for p in tail.tolist() if p % modulus == residue] == sparse
+        got = primes_in_class(lo, hi, residue, modulus).tolist()
+        assert got == [p for p in sympy.primerange(lo, hi) if p % modulus == residue]
 
     # Windows that start at 3 or above must be non-empty; below that they
     # are clipped to start at 2 and may come out empty.
@@ -287,7 +307,7 @@ class TestSparseTier:
         first = lo + (v - lo) % modulus
         primes = base_primes(math.isqrt(hi - 1))
         sparse = primes[_sparse_split(primes, 201, modulus):]
-        batches = list(_sparse_strikes(first, modulus, 201, sparse, from_square=False))
+        batches = list(_sparse_strikes(first, modulus, 201, sparse))
         assert len(batches) >= 3
         self.check(lo, hi, v % modulus, modulus)
 
@@ -339,7 +359,7 @@ class TestEvaluatedMembers:
         first = lo + (residue - lo) % modulus
         primes = base_primes(math.isqrt(hi - 1))
         split = _sparse_split(primes, 201, modulus)
-        struck = sorted({int(j) for js, _ in _sparse_strikes(first, modulus, 201, primes[split:], False) for j in js})
+        struck = sorted({int(j) for js, _ in _sparse_strikes(first, modulus, 201, primes[split:]) for j in js})
         assert (v - first) // modulus in struck
         self.check(lo, hi, residue, modulus, struck)
         self.check(lo, hi, residue, modulus, struck[1::2])
