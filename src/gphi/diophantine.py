@@ -68,9 +68,11 @@ MAX_SEARCH_VALUE = (2**63 - 1) // 3
 
 
 # Values per sieve_segment call of the full-range sweeps (_phi_table and
-# relaxed_search).  A window holds about 34 bytes per value at its peak, so
-# 2^20 keeps relaxed_search near 34 MiB where 2^22 took 129 MiB, at no loss
-# of speed: the per-call cost is small against a million values.
+# relaxed_search).  Under tracemalloc relaxed_search to 10^7 peaks at 28 MiB,
+# 28 bytes per value of a window: the sweep's 12 (int32 phi and acc, then
+# the int64 copy of phi), the int64 index table and the previous window's
+# phi.  2^22-value windows took 129 MiB, and 2^20 is as fast: the per-call
+# cost is small against a million values.
 _SWEEP_WINDOW = 1 << 20
 
 
@@ -80,13 +82,15 @@ class CheckpointMismatchError(ValueError):
 
 def _phi_table(limit):
     """phi(v) for 2 <= v <= limit, indexed by value (phi[0] and phi[1] unused),
-    filled by sieve_segment _SWEEP_WINDOW values at a time."""
+    filled by sieve_segment _SWEEP_WINDOW values at a time.  int32 when
+    limit < 2^31, else int64: phi(v) <= v <= limit, so every entry fits."""
     if limit >= MAX_SIEVE_VALUE:
         raise SieveRangeError(f"phi table to {limit} reaches the sieve maximum {MAX_SIEVE_VALUE}")
+    dtype = np.dtype(np.int32 if limit < 2**31 else np.int64)
     try:
-        phi = np.zeros(limit + 1, dtype=np.int64)
+        phi = np.zeros(limit + 1, dtype=dtype)
     except (MemoryError, ValueError) as exc:  # numpy raises ValueError past its size cap
-        raise MemoryError(f"phi table to {limit} needs {8 * (limit + 1)} bytes") from exc
+        raise MemoryError(f"phi table to {limit} needs {dtype.itemsize * (limit + 1)} bytes") from exc
     for lo in range(2, limit + 1, _SWEEP_WINDOW):
         hi = min(lo + _SWEEP_WINDOW, limit + 1)
         phi[lo:hi] = sieve_segment(lo, hi).phi
@@ -97,14 +101,17 @@ def brute_force_solutions(limit):
     """All solutions n <= limit by direct evaluation of the equation.
 
     Deliberately ignorant of the classification; used as its oracle.
+    Works in the dtype of the phi table to 2 * limit: n + phi(n) <= 2 * limit
+    indexes it and 1 <= n - phi(n) < n, so int32 is exact wherever the
+    table is int32, and no sum of the equation (up to 3 * limit) is formed.
     """
     _check_natural(limit)
     if limit < 2:
         return []
     phi = _phi_table(2 * limit)
-    n = np.arange(2, limit + 1, dtype=np.int64)
-    tot = phi[n]
-    hits = n[tot + phi[n + tot] == n]
+    n = np.arange(2, limit + 1, dtype=phi.dtype)
+    tot = phi[2 : limit + 1]
+    hits = n[phi[n + tot] == n - tot]
     return [int(x) for x in hits]
 
 

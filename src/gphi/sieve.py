@@ -75,27 +75,42 @@ def base_primes(limit):
     return _primes_to(limit)
 
 
-# The largest base primes built so far, (bound, every prime <= bound): one tuple,
+# The largest base primes built so far, (bound, every prime <= bound, buffer):
+# the primes are a read-only view of the start of the buffer, whose spare
+# capacity takes the primes of later extensions in place.  One tuple,
 # replaced in one statement, so no reader sees a bound without its array.
-_cache = (1, np.empty(0, dtype=np.int64))
+_cache = (1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 def _primes_to(limit):
     """The primes <= limit, read-only, sliced from _cache after extending it
     to limit if limit is above its bound.  The extension sieves the values
     past the bound _BASE_WINDOW at a time, so a build holds one flag per
-    value of a window, not of the whole range.  _sieve_class takes its base
-    primes here, not from the public base_primes, so that a cold and a warm
-    cache give the same base_primes call counts."""
+    value of a window, not of the whole range; a window ends below the
+    square of the bound before it, so its own base primes are all cached.
+    Each window's primes are written past the cached ones, into a buffer
+    that, when it must grow, at least doubles and takes pi(limit) < limit /
+    (ln limit - 3/2) primes (Rosser & Schoenfeld, Illinois J. Math. 1962,
+    for limit > e^1.5; below, the bound is negative and the count rules),
+    so a cold build allocates once and a slowly rising bound copies the
+    cache only now and then.  _sieve_class takes its base primes here, not
+    from the public base_primes, so that a cold and a warm cache give the
+    same base_primes call counts."""
     global _cache
-    bound, primes = _cache
-    if limit > bound:
-        parts = [primes]
-        for lo in range(bound + 1, limit + 1, _BASE_WINDOW):
-            parts.append(_sieve_class(lo, min(lo + _BASE_WINDOW, limit + 1), 0, 1))
-        primes = np.concatenate(parts)
+    bound, primes, buffer = _cache
+    while bound < limit:
+        hi = min(bound + 1 + _BASE_WINDOW, (bound + 1) ** 2, limit + 1)
+        new = _sieve_class(bound + 1, hi, 0, 1)
+        count = primes.size + new.size
+        if count > buffer.size:
+            grown = np.empty(max(count, int(limit / (math.log(limit) - 1.5)), 2 * buffer.size), dtype=np.int64)
+            grown[: primes.size] = primes
+            buffer = grown
+        buffer[primes.size : count] = new
+        primes = buffer[:count]
         primes.flags.writeable = False
-        _cache = (limit, primes)
+        bound = hi - 1
+        _cache = (bound, primes, buffer)
     return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
 
@@ -248,6 +263,12 @@ def totient_progression(lo, hi, residue, modulus, at=None):
     Sparse primes, each above 7 and hitting fewer than _STRIDED_HITS members
     (see _sparse_split), are applied together from _sparse_strikes by
     _strike, since two sparse primes may divide one value.
+
+    The sweep works in int32 when the top member is below 2^31, else in
+    int64, and returns int64 either way.  This is exact: every number it
+    holds for a member v (phi, acc, each partial product, v // acc) is at
+    most v (see _finish).  acc is dropped before phi is widened, so a
+    window peaks at about 12 bytes per value in int32 and 17 in int64.
     """
     if modulus < 1 or math.gcd(residue, modulus) != 1:
         raise ValueError(f"residue {residue} not coprime to modulus {modulus}")
@@ -265,12 +286,13 @@ def totient_progression(lo, hi, residue, modulus, at=None):
     if at is not None:
         return first, _totients_at(first, modulus, count, at, primes, split)
     top = first + modulus * (count - 1)
+    dtype = np.int32 if top < 2**31 else np.int64
     # The wheel's factors repeat with period _WHEEL in j: gather them once
     # and tile them over the progression.
     j = np.arange(min(count, _WHEEL), dtype=np.int64)
     residues = (first % _WHEEL + modulus % _WHEEL * j) % _WHEEL
-    phi = np.resize(_WHEEL_PHI[residues], count)
-    acc = np.resize(_WHEEL_ACC[residues], count)
+    phi = np.resize(_WHEEL_PHI.astype(dtype)[residues], count)
+    acc = np.resize(_WHEEL_ACC.astype(dtype)[residues], count)
     dense = []  # (p^e, first index it divides, phi factor, p), run per block
     for p in primes[:split].tolist():
         pe = p
@@ -295,14 +317,18 @@ def totient_progression(lo, hi, residue, modulus, at=None):
             block_phi[(j0 - b0) % pe :: pe] *= factor
             block_acc[(j0 - b0) % pe :: pe] *= p
         v0 = first + modulus * b0
-        _finish(block_phi, block_acc, np.arange(v0, v0 + modulus * block_phi.size, modulus, dtype=np.int64))
-    return first, phi
+        _finish(block_phi, block_acc, np.arange(v0, v0 + modulus * block_phi.size, modulus, dtype=dtype))
+    del acc, block_acc  # so the widening copy below is the only array beside phi
+    return first, phi.astype(np.int64, copy=False)
 
 
 def _finish(phi, acc, v):
     """phi *= q - 1 where v // acc is a prime q, the one factor of v above
     sqrt(hi) the strikes left; v // acc = 1 leaves phi as it is, so the
-    multiply needs no mask.  v is overwritten."""
+    multiply needs no mask.  v is overwritten.  Nothing here outgrows v:
+    acc is a product of prime powers dividing v, so it divides v; phi is at
+    most acc before and at most v after, and v // acc - 1 < v.  So any
+    dtype that holds v holds them all, int32 included."""
     v //= acc
     v -= 1
     phi *= np.maximum(v, 1, out=v)
@@ -311,7 +337,9 @@ def _finish(phi, acc, v):
 def _strike(phi, acc, i, v, p):
     """For each strike k, the prime p[k] dividing the value v[k] at index
     i[k]: phi[i] *= (p - 1) * p^(e-1) and acc[i] *= p^e, e found by dividing
-    v by p while it divides.  np.multiply.at, since an index may repeat."""
+    v by p while it divides.  np.multiply.at, since an index may repeat; p
+    takes the dtype of phi, as ufunc.at is slow on a mix of dtypes."""
+    p = p.astype(phi.dtype, copy=False)
     np.multiply.at(phi, i, p - 1)
     np.multiply.at(acc, i, p)
     rest = v // p

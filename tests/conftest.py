@@ -11,7 +11,7 @@ def cold_base_primes(monkeypatch):
     not depend on which tests ran before."""
 
     def empty():
-        monkeypatch.setattr(sieve, "_cache", (1, np.empty(0, dtype=np.int64)))
+        monkeypatch.setattr(sieve, "_cache", (1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)))
 
     empty()
     return empty

@@ -145,6 +145,23 @@ class TestVerifyTheorem:
         assert out == ""
         assert err == f"error: out of memory: phi table to {2 * limit} needs {8 * (2 * limit + 1)} bytes\n"
 
+    # Below 2^31 the table is int32: the one for --limit 10^6, whose
+    # allocation is stubbed to fail, would take 4 bytes per entry to 2 * 10^6.
+    def test_int32_table_names_its_bytes(self, capsys, monkeypatch):
+        import numpy as np
+
+        zeros = np.zeros
+
+        def refuse(shape, dtype):
+            if shape == 2 * 10 ** 6 + 1:
+                raise MemoryError()
+            return zeros(shape, dtype)
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        code, out, err = run(capsys, "verify-theorem", "--limit", str(10 ** 6))
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory: phi table to 2000000 needs 8000004 bytes\n"
+
     # At 10^23 the table would hold values past the int64 sieve, which is
     # refused by name before any allocation.
     @pytest.mark.parametrize("command", [

@@ -158,6 +158,50 @@ class TestBruteForce:
         for n in range(1, 401):
             assert (n in hits) == equation_holds(n), n
 
+    # The oracle reads the equation off whatever table it is given: here an
+    # int32 table whose entries past the limit lie near 2^31, so that most
+    # sums of the equation pass int32, with hits planted at n = 3 and 50.
+    # Only n with tot + phi[n + tot] = n, in Python integers, are hits.
+    def test_reads_the_equation_off_an_int32_table(self, monkeypatch):
+        limit = 50
+        rng = np.random.default_rng(7)
+        table = np.zeros(2 * limit + 1, dtype=np.int32)
+        table[2 : limit + 1] = [rng.integers(1, n) for n in range(2, limit + 1)]
+        table[limit + 1 :] = rng.integers(2 ** 31 - 2 ** 20, 2 ** 31, size=limit, dtype=np.int32)
+        table[3], table[5] = 2, 1
+        table[50], table[80] = 30, 20
+        monkeypatch.setattr(diophantine, "_phi_table", lambda top: table if top == 2 * limit else pytest.fail(top))
+        expected = [n for n in range(2, limit + 1) if int(table[n]) + int(table[n + int(table[n])]) == n]
+        assert expected[0] == 3 and expected[-1] == 50
+        assert brute_force_solutions(limit) == expected
+
+    # The table is int32 below 2^31 and int64 from there on, so the
+    # allocation a table to 2^31 - 1 cannot get is 4 bytes per entry, and one
+    # to 2^31 is 8; the allocation is stubbed to fail.
+    @pytest.mark.parametrize("top, itemsize", [(2 ** 31 - 1, 4), (2 ** 31, 8)])
+    def test_table_width(self, monkeypatch, top, itemsize):
+        def refuse(shape, dtype):
+            raise MemoryError()
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(MemoryError, match=f"^phi table to {top} needs {itemsize * (top + 1)} bytes$"):
+            diophantine._phi_table(top)
+
+    # Under tracemalloc the oracle peaks at 21 bytes per unit of limit: the
+    # int32 table to 2 * limit, n, n + phi(n), the phi read there and the
+    # hit flags.  An int64 table and intp indices read 48.
+    def test_peak_memory_per_unit_of_limit(self):
+        brute_force_solutions(1000)  # import-time and cached allocations
+        limit = 10 ** 6
+        tracemalloc.start()
+        try:
+            hits = brute_force_solutions(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(hits) == 98
+        assert peak <= 34 * limit
+
 
 class TestClassify:
     def test_70_is_family_35(self):
@@ -638,7 +682,8 @@ class TestRelaxedSearch:
         assert relaxed_search(2_000_000) == [5, 35, 1295, 1679615]
 
     # The scan holds one window of the sweep at a time, not the range: about
-    # 34 MiB to 10^7, where whole 2^22 segments took 129 MiB.
+    # 28 MiB to 10^7 (34 with an int64 sweep), where whole 2^22 segments
+    # took 129 MiB.
     def test_peak_memory_to_10_million(self):
         relaxed_search(10)  # import-time and cached allocations
         tracemalloc.start()

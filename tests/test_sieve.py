@@ -92,6 +92,60 @@ class TestSieveSegment:
         assert first == lo
         assert np.array_equal(sieve_segment(lo, hi).phi, phi)
 
+    # The sweep works in int32 when its top member is below 2^31, in int64
+    # from 2^31 on; either way it returns int64.  Full 2^20-value windows
+    # ending one below, at and one above 2^31 agree with the scalar phi on a
+    # seeded sample, on both ends, and on every multiple of p^2 for the
+    # sparse primes p (46337^2 lies in each window).  Their sparse
+    # tier is not empty, so the window below 2^31 runs it in int32.
+    @pytest.mark.parametrize("top", [2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1])
+    def test_windows_at_the_int32_edge(self, top):
+        width = 1 << 20
+        lo = top - width + 1
+        phi = sieve_segment(lo, top + 1).phi
+        assert phi.dtype == np.int64 and phi.size == width
+        primes = base_primes(math.isqrt(top))
+        sparse = primes[_sparse_split(primes, width, 1) :].tolist()
+        assert sparse
+        picks = set(random.Random(top).sample(range(width), 400)) | {0, width - 1}
+        for p in sparse:
+            picks.update(range(-lo % (p * p), width, p * p))
+        assert 46337 ** 2 - lo in picks
+        for k in sorted(picks):
+            assert int(phi[k]) == euler_phi(lo + k), lo + k
+
+    # The width rule: int32 exactly when the top member is below 2^31.
+    @pytest.mark.parametrize("top, dtype", [(2 ** 31 - 1, np.int32), (2 ** 31, np.int64)])
+    def test_width_rule(self, monkeypatch, top, dtype):
+        widths = []
+        finish = sieve._finish
+
+        def spy(phi, acc, v):
+            widths.append(phi.dtype)
+            finish(phi, acc, v)
+
+        monkeypatch.setattr(sieve, "_finish", spy)
+        phi = sieve_segment(top - 99, top + 1).phi
+        assert widths == [dtype]
+        assert phi.dtype == np.int64
+        assert phi.tolist() == [euler_phi(v) for v in range(top - 99, top + 1)]
+
+    # Under tracemalloc a 2^20 window peaks at phi and acc, plus the int64
+    # copy of phi once acc is dropped: about 12.1 bytes per value in int32
+    # (16.6 when every window was swept in int64), 16.8 in int64 just above
+    # 2^31.
+    @pytest.mark.parametrize("lo, bound", [(2, 12.5), (2 ** 31 - (1 << 20), 12.5), (2 ** 31 + 1, 17)])
+    def test_window_peak_memory_per_value(self, lo, bound):
+        width = 1 << 20
+        sieve_segment(lo, lo + width)  # base primes and import-time allocations
+        tracemalloc.start()
+        try:
+            sieve_segment(lo, lo + width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * width
+
     def test_range_underflow(self):
         with pytest.raises(SieveRangeError):
             sieve_segment(1, 10)
@@ -458,9 +512,10 @@ class TestBasePrimeCache:
         assert base_primes(5000).tolist() == expected
         assert base_primes(1000).tolist() == expected[:168]
 
-    # One flag per value of a window, not of the range: the peak is the
-    # primes themselves, old and new arrays at once (about 0.53 B/value
-    # each at 10^7), where one unsegmented flag array read 2.06 B/value.
+    # One flag per value of a window, not of the range, and one array of
+    # primes, sized once by the bound on pi(10^7): a peak of 0.83 B/value,
+    # where old and new arrays at once read 1.06 and one unsegmented flag
+    # array 2.06.
     def test_build_peak_memory_per_value(self, cold_base_primes):
         limit = 10 ** 7
         tracemalloc.start()
@@ -495,6 +550,28 @@ class TestBasePrimeCache:
         for limit in (a, b - 1, b):
             sieve._primes_to(limit)
         assert windows == []
+
+    # A segment whose root rises past the cache's bound appends its few new
+    # primes in the spare capacity: its peak is that of the same segment on
+    # a warm cache, where copying the whole cache added 0.15 B/value at
+    # 10^12 and 1.27 at 10^14.
+    @pytest.mark.parametrize("lo", [10 ** 12, 10 ** 14])
+    def test_extension_peak_memory_per_value(self, lo, cold_base_primes):
+        from gphi.diophantine import _exotic_segment
+
+        width = 1 << 22
+        _exotic_segment((lo - width, lo))
+        bound = sieve._cache[0]
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                _exotic_segment((lo, lo + width))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert sieve._cache[0] > bound
+        assert peaks[0] <= peaks[1] + 0.02 * width
 
     def test_smaller_limit_after_larger(self, cold_base_primes):
         base_primes(10 ** 4)
