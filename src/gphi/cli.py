@@ -8,8 +8,9 @@ appends one summary line whose only nondeterministic field is elapsed_ms,
 CSV mode sends the summary to stderr.
 
 Exit codes: 0 success, 1 verification failure or search inconsistency,
-2 usage or parameter error, including a limit whose tables cannot be allocated
-and a search worker that died (the out-of-memory killer is the likely cause).
+2 usage or parameter error, including a limit past a declared maximum or whose
+tables cannot be allocated, and a search worker that died (the out-of-memory
+killer is the likely cause).
 
 Only the handlers that sieve (solutions, verify-theorem, search-exotic and
 search-relaxed) import diophantine and sieve, and with them numpy; the

@@ -40,7 +40,6 @@ from .equation import (
 from .limits import MAX_JOBS
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
-    MAX_SIEVE_VALUE,
     SearchCheckpoint,
     SegmentTooLargeError,
     SieveRangeError,
@@ -67,52 +66,97 @@ MAX_EXOTIC_SEGMENT = 400_000_000
 MAX_SEARCH_VALUE = (2**63 - 1) // 3
 
 
-# Values per sieve_segment call of the full-range sweeps (_phi_table and
-# relaxed_search).  Under tracemalloc relaxed_search to 10^7 peaks at 28 MiB,
-# 28 bytes per value of a window: the sweep's 12 (int32 phi and acc, then
-# the int64 copy of phi), the int64 index table and the previous window's
-# phi.  2^22-value windows took 129 MiB, and 2^20 is as fast: the per-call
-# cost is small against a million values.
-_SWEEP_WINDOW = 1 << 20
+# Values per sieve_segment call of the full-range sweeps (relaxed_search and
+# the theorem oracle).  Under tracemalloc relaxed_search to 10^7 peaks at
+# 5 MiB, 20 bytes per value of a window: the sweep's 12 (int32 phi and acc,
+# then the int64 copy of phi) and the int64 index table.  2^19-value windows
+# read 10 MiB and 2^20 20 (28 while the previous window's phi stayed alive
+# into the next sieve), in the same CPU time to 10^7 (244 ms, median of 10);
+# to 10^8 the per-window cost shows: 4.3 s against 3.3 with 2^20, profiled.
+_SWEEP_WINDOW = 1 << 18
+
+# Widest unit of the theorem oracle's m axis: a unit holds phi on at most
+# this many values, 256 MiB in int32 and 512 above 2^31, so its table, not
+# the limit, bounds the oracle's memory.  Up to a limit of 2^25 there is
+# one unit, the whole table to 2 * limit.
+_ORACLE_UNIT = 1 << 26
+
+# Values the oracle checks against its table at a time: the check's
+# temporaries, about 22 bytes per value, then stay in cache, which makes it
+# a third faster than on whole sieve windows.
+_CHECK_BLOCK = 1 << 16
+
+# Largest limit brute_force_solutions takes.  Past one unit each unit
+# re-sieves phi(n) for n in (A/2, min(A, limit + 1)), about limit^2 / 2^27
+# values in all, so the run time grows as limit^2: verify-theorem took
+# 12.6 s to 10^8 and 472-527 s to 10^9 on a 2-core Xeon, so an estimated
+# 17 hours at this maximum (int64 above 2^31), and years at 10^12.
+MAX_ORACLE_LIMIT = 10**10
 
 
 class CheckpointMismatchError(ValueError):
     """Checkpoint on disk belongs to a different search or fails validation."""
 
 
-def _phi_table(limit):
-    """phi(v) for 2 <= v <= limit, indexed by value (phi[0] and phi[1] unused),
-    filled by sieve_segment _SWEEP_WINDOW values at a time.  int32 when
-    limit < 2^31, else int64: phi(v) <= v <= limit, so every entry fits."""
-    if limit >= MAX_SIEVE_VALUE:
-        raise SieveRangeError(f"phi table to {limit} reaches the sieve maximum {MAX_SIEVE_VALUE}")
-    dtype = np.dtype(np.int32 if limit < 2**31 else np.int64)
+def _phi_unit(lo, hi):
+    """phi(v) for lo <= v < hi at index v - lo, filled by sieve_segment
+    _SWEEP_WINDOW values at a time.  int32 when hi - 1 < 2^31, else int64:
+    phi(v) <= v < hi, so every entry fits."""
+    dtype = np.dtype(np.int32 if hi <= 2**31 else np.int64)
     try:
-        phi = np.zeros(limit + 1, dtype=dtype)
-    except (MemoryError, ValueError) as exc:  # numpy raises ValueError past its size cap
-        raise MemoryError(f"phi table to {limit} needs {dtype.itemsize * (limit + 1)} bytes") from exc
-    for lo in range(2, limit + 1, _SWEEP_WINDOW):
-        hi = min(lo + _SWEEP_WINDOW, limit + 1)
-        phi[lo:hi] = sieve_segment(lo, hi).phi
+        phi = np.zeros(hi - lo, dtype=dtype)
+    except MemoryError as exc:
+        raise MemoryError(f"phi table on [{lo}, {hi}) needs {dtype.itemsize * (hi - lo)} bytes") from exc
+    for a in range(lo, hi, _SWEEP_WINDOW):
+        b = min(a + _SWEEP_WINDOW, hi)
+        phi[a - lo : b - lo] = sieve_segment(a, b).phi
     return phi
+
+
+def _unit_hits(table, start, lo, tot):
+    """The n = lo + j, tot[j] = phi(n), whose m = n + phi(n) lies in the unit
+    of table (phi(v) at index v - start) and has phi(m) = n - phi(n).  The
+    arithmetic is int64 whatever the table's dtype, _CHECK_BLOCK values at
+    a time."""
+    hits = []
+    for b in range(0, tot.size, _CHECK_BLOCK):
+        phi_n = tot[b : b + _CHECK_BLOCK]
+        at = np.arange(lo + b - start, lo + b - start + phi_n.size)
+        at += phi_n  # m - start; negative ones wrap past every index as uint64
+        inside = at.view(np.uint64) < table.size
+        phi_m = table.take(at, mode="clip")
+        rest = np.arange(lo + b, lo + b + phi_n.size)
+        rest -= phi_n  # n - phi(n)
+        inside &= phi_m == rest
+        hits += (lo + b + np.flatnonzero(inside)).tolist()
+    return hits
 
 
 def brute_force_solutions(limit):
     """All solutions n <= limit by direct evaluation of the equation.
 
     Deliberately ignorant of the classification; used as its oracle.
-    Works in the dtype of the phi table to 2 * limit: n + phi(n) <= 2 * limit
-    indexes it and 1 <= n - phi(n) < n, so int32 is exact wherever the
-    table is int32, and no sum of the equation (up to 3 * limit) is formed.
+    The axis [2, 2 * limit] of m = n + phi(n) is split into units [A, B)
+    of at most _ORACLE_UNIT values, each with its own phi table.  Since
+    phi(n) <= n - 1, the n whose m falls in a unit lie in (A/2, B): phi(n)
+    is read off the table for n >= A and sieved again, _SWEEP_WINDOW values
+    at a time, for n < A.  n is a solution when table[m - A] == n - phi(n),
+    so no sum of the equation (up to 3 * limit) is formed.
     """
     _check_natural(limit)
-    if limit < 2:
-        return []
-    phi = _phi_table(2 * limit)
-    n = np.arange(2, limit + 1, dtype=phi.dtype)
-    tot = phi[2 : limit + 1]
-    hits = n[phi[n + tot] == n - tot]
-    return [int(x) for x in hits]
+    if limit > MAX_ORACLE_LIMIT:
+        raise SieveRangeError(f"limit {limit} above the oracle maximum {MAX_ORACLE_LIMIT}")
+    hits = []
+    for start in range(2, 2 * limit + 1, _ORACLE_UNIT):
+        end = min(start + _ORACLE_UNIT, 2 * limit + 1)
+        table = _phi_unit(start, end)
+        below = min(start, limit + 1)
+        for lo in range(start // 2 + 1, below, _SWEEP_WINDOW):
+            hi = min(lo + _SWEEP_WINDOW, below)
+            hits += _unit_hits(table, start, lo, sieve_segment(lo, hi).phi)
+        hits += _unit_hits(table, start, start, table[: max(0, min(end, limit + 1) - start)])
+        del table  # so the next unit's table is filled without this one alive
+    return sorted(hits)
 
 
 # The family index of classify and classify_range: odd part q -> (kind, least ell).
@@ -431,4 +475,5 @@ def relaxed_search(limit):
         phi *= 3  # in place, no temporaries: 3*phi(lo + j) - 2*lo - 2 == 2*j
         phi -= 2 * lo + 2
         found.extend(lo + int(j) for j in np.flatnonzero(phi == twice_index[: hi - lo]))
+        del phi  # so the next window is sieved without this one alive
     return found

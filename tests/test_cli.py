@@ -124,56 +124,56 @@ class TestVerifyTheorem:
         assert out == ""
         assert err.startswith("error: inconsistency:") and err.count("\n") == 1
 
-    # At 10^15 the brute-force phi table would take 14 PiB, more than any
-    # address space, so its allocation fails at once.
+    # At 10^15 the brute-force phi table would take 14 PiB; sieved a unit at
+    # a time it would run for years instead.  The limit is refused by name,
+    # past the oracle maximum, before anything is sieved.
     @pytest.mark.parametrize("command", [
         ("verify-theorem",),
         ("solutions", "--method", "brute"),
     ])
-    def test_unallocatable_limit_exits_2(self, capsys, command):
+    def test_unallocatable_limit_exits_2(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(diophantine, "sieve_segment", lambda lo, hi: pytest.fail(f"sieved [{lo}, {hi})"))
         code, out, err = run(capsys, *command, "--limit", str(10 ** 15))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: out of memory: phi table to ") and err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err == f"error: limit {10 ** 15} above the oracle maximum {diophantine.MAX_ORACLE_LIMIT}\n"
 
-    # Just below the sieve maximum a table is past numpy's own size cap,
-    # where numpy raises ValueError, not MemoryError; both name the table.
+    # Just below the sieve maximum, where one whole table passed numpy's own
+    # size cap, the oracle maximum refuses the limit too, with --method both.
     def test_table_past_numpy_size_cap_exits_2(self, capsys):
         limit = MAX_SIEVE_VALUE // 2 - 1
-        code, out, err = run(capsys, "solutions", "--limit", str(limit), "--method", "brute")
-        assert code == 2
-        assert out == ""
-        assert err == f"error: out of memory: phi table to {2 * limit} needs {8 * (2 * limit + 1)} bytes\n"
+        code, out, err = run(capsys, "solutions", "--limit", str(limit), "--method", "both")
+        assert (code, out) == (2, "")
+        assert err == f"error: limit {limit} above the oracle maximum {diophantine.MAX_ORACLE_LIMIT}\n"
 
-    # Below 2^31 the table is int32: the one for --limit 10^6, whose
-    # allocation is stubbed to fail, would take 4 bytes per entry to 2 * 10^6.
+    # Below 2^31 a unit's table is int32: the one for --limit 10^6, whose
+    # allocation is stubbed to fail, would take 4 bytes per value of the
+    # one unit [2, 2 * 10^6 + 1).
     def test_int32_table_names_its_bytes(self, capsys, monkeypatch):
         import numpy as np
 
         zeros = np.zeros
 
         def refuse(shape, dtype):
-            if shape == 2 * 10 ** 6 + 1:
+            if shape == 2 * 10 ** 6 - 1:
                 raise MemoryError()
             return zeros(shape, dtype)
 
         monkeypatch.setattr(np, "zeros", refuse)
         code, out, err = run(capsys, "verify-theorem", "--limit", str(10 ** 6))
         assert (code, out) == (2, "")
-        assert err == "error: out of memory: phi table to 2000000 needs 8000004 bytes\n"
+        assert err == "error: out of memory: phi table on [2, 2000001) needs 7999996 bytes\n"
 
-    # At 10^23 the table would hold values past the int64 sieve, which is
-    # refused by name before any allocation.
+    # At 10^23 the table would hold values past the int64 sieve; the oracle
+    # maximum, far below, refuses the limit by name first.
     @pytest.mark.parametrize("command", [
         ("verify-theorem",),
         ("solutions", "--method", "brute"),
     ])
     def test_limit_past_the_sieve_maximum_exits_2(self, capsys, command):
         code, out, err = run(capsys, *command, "--limit", str(10 ** 23))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: phi table to ") and err.count("\n") == 1
-        assert str(MAX_SIEVE_VALUE) in err
+        assert (code, out) == (2, "")
+        assert err == f"error: limit {10 ** 23} above the oracle maximum {diophantine.MAX_ORACLE_LIMIT}\n"
+        assert diophantine.MAX_ORACLE_LIMIT < MAX_SIEVE_VALUE // 2
 
     # The classifier builds no table: at 10^15 it asks the exotic search,
     # stubbed here, for every p = 8m+7 that an odd part <= limit // 2 needs.
@@ -181,7 +181,7 @@ class TestVerifyTheorem:
         limit = 10 ** 15
         asked = []
         monkeypatch.setattr(diophantine, "exotic_prime_search", lambda *a, **k: asked.append((a, k)) or [])
-        monkeypatch.setattr(diophantine, "_phi_table", lambda top: pytest.fail(f"phi table to {top}"))
+        monkeypatch.setattr(diophantine, "sieve_segment", lambda lo, hi: pytest.fail(f"sieved [{lo}, {hi})"))
         code, out, err = run(capsys, "solutions", "--limit", str(limit), "--method", "classify")
         records, _ = json_records(out)
         assert (code, err) == (0, "")

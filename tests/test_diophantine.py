@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import re
 import time
 import tracemalloc
 from collections import Counter, defaultdict
@@ -158,10 +159,10 @@ class TestBruteForce:
         for n in range(1, 401):
             assert (n in hits) == equation_holds(n), n
 
-    # The oracle reads the equation off whatever table it is given: here an
-    # int32 table whose entries past the limit lie near 2^31, so that most
-    # sums of the equation pass int32, with hits planted at n = 3 and 50.
-    # Only n with tot + phi[n + tot] = n, in Python integers, are hits.
+    # The oracle reads the equation off whatever unit table it is given:
+    # here one int32 table whose entries past the limit lie near 2^31, so
+    # that most sums of the equation pass int32, with hits planted at n = 3
+    # and 50.  Only n with tot + phi[n + tot] = n, in Python integers, are hits.
     def test_reads_the_equation_off_an_int32_table(self, monkeypatch):
         limit = 50
         rng = np.random.default_rng(7)
@@ -170,26 +171,62 @@ class TestBruteForce:
         table[limit + 1 :] = rng.integers(2 ** 31 - 2 ** 20, 2 ** 31, size=limit, dtype=np.int32)
         table[3], table[5] = 2, 1
         table[50], table[80] = 30, 20
-        monkeypatch.setattr(diophantine, "_phi_table", lambda top: table if top == 2 * limit else pytest.fail(top))
+        unit = (2, 2 * limit + 1)
+        monkeypatch.setattr(diophantine, "_phi_unit", lambda *b: table[2:] if b == unit else pytest.fail(b))
         expected = [n for n in range(2, limit + 1) if int(table[n]) + int(table[n + int(table[n])]) == n]
         assert expected[0] == 3 and expected[-1] == 50
         assert brute_force_solutions(limit) == expected
 
-    # The table is int32 below 2^31 and int64 from there on, so the
-    # allocation a table to 2^31 - 1 cannot get is 4 bytes per entry, and one
-    # to 2^31 is 8; the allocation is stubbed to fail.
+    # A unit's table is int32 when its top value is below 2^31 and int64
+    # from there on, so the allocation a unit to 2^31 - 1 cannot get is 4
+    # bytes per value, and one to 2^31 is 8; the allocation is stubbed to fail.
     @pytest.mark.parametrize("top, itemsize", [(2 ** 31 - 1, 4), (2 ** 31, 8)])
     def test_table_width(self, monkeypatch, top, itemsize):
         def refuse(shape, dtype):
             raise MemoryError()
 
         monkeypatch.setattr(np, "zeros", refuse)
-        with pytest.raises(MemoryError, match=f"^phi table to {top} needs {itemsize * (top + 1)} bytes$"):
-            diophantine._phi_table(top)
+        lo, hi = top + 1 - diophantine._ORACLE_UNIT, top + 1
+        message = f"phi table on [{lo}, {hi}) needs {itemsize * (hi - lo)} bytes"
+        with pytest.raises(MemoryError, match=f"^{re.escape(message)}$"):
+            diophantine._phi_unit(lo, hi)
 
-    # Under tracemalloc the oracle peaks at 21 bytes per unit of limit: the
-    # int32 table to 2 * limit, n, n + phi(n), the phi read there and the
-    # hit flags.  An int64 table and intp indices read 48.
+    # Each unit width puts a unit edge A at every value, every second, ...
+    # value of the m axis; n = A//2 + 1, the least n a unit streams, is
+    # checked at each.  Every limit to 24 moves the axis end through each
+    # residue of the narrow widths; the limit top crosses every edge to
+    # 2 * top.
+    @pytest.mark.parametrize("unit, top", [(1, 200), (2, 500), (3, 600), (7, 1500), (64, 3000)])
+    def test_unit_edges_against_one_table(self, monkeypatch, unit, top):
+        phi = np.zeros(2 * top + 1, dtype=np.int64)
+        phi[2:] = sieve.sieve_segment(2, 2 * top + 1).phi
+        n = np.arange(2, top + 1)
+        whole = n[phi[n] + phi[n + phi[n]] == n].tolist()
+        monkeypatch.setattr(diophantine, "_ORACLE_UNIT", unit)
+        for limit in [*range(1, 25), top]:
+            assert brute_force_solutions(limit) == [x for x in whole if x <= limit], limit
+
+    # The unit table, not the limit, bounds the oracle's memory.  Under
+    # tracemalloc, 2^18-value units to 5 * 10^5 peak at 4.6 MiB: the
+    # table's 1 MiB, a 2^18-value sieve window of phi(n) in int64 and the
+    # check's temporaries on 2^16 values; one whole table to 10^6 reads
+    # 15 MiB.  Smaller units re-sieve more n, which is slow under tracemalloc.
+    def test_peak_memory_is_bounded_by_the_unit(self, monkeypatch):
+        unit = 1 << 18
+        monkeypatch.setattr(diophantine, "_ORACLE_UNIT", unit)
+        brute_force_solutions(1000)  # import-time and cached allocations
+        tracemalloc.start()
+        try:
+            hits = brute_force_solutions(5 * 10 ** 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(hits) == 92
+        assert peak < 6 * 2 ** 20
+
+    # Under tracemalloc the oracle peaks at 11 bytes per unit of limit: 8
+    # for its one int32 table to 2 * limit, the rest a sieve window's
+    # arrays.
     def test_peak_memory_per_unit_of_limit(self):
         brute_force_solutions(1000)  # import-time and cached allocations
         limit = 10 ** 6
@@ -201,6 +238,18 @@ class TestBruteForce:
             tracemalloc.stop()
         assert len(hits) == 98
         assert peak <= 34 * limit
+
+    # The oracle's re-sieved values grow as limit^2, so a limit past
+    # MAX_ORACLE_LIMIT is refused before any table is built.
+    def test_rejects_a_limit_past_the_oracle_maximum(self, monkeypatch):
+        def no_table(lo, hi):
+            raise RuntimeError(f"table on [{lo}, {hi})")
+
+        monkeypatch.setattr(diophantine, "_phi_unit", no_table)
+        with pytest.raises(SieveRangeError, match=f"above the oracle maximum {diophantine.MAX_ORACLE_LIMIT}$"):
+            brute_force_solutions(diophantine.MAX_ORACLE_LIMIT + 1)
+        with pytest.raises(RuntimeError, match="table on"):
+            brute_force_solutions(diophantine.MAX_ORACLE_LIMIT)
 
 
 class TestClassify:
@@ -681,9 +730,9 @@ class TestRelaxedSearch:
     def test_known_list(self):
         assert relaxed_search(2_000_000) == [5, 35, 1295, 1679615]
 
-    # The scan holds one window of the sweep at a time, not the range: about
-    # 28 MiB to 10^7 (34 with an int64 sweep), where whole 2^22 segments
-    # took 129 MiB.
+    # The scan holds one window of the sweep at a time, not the range, and
+    # drops it before it sieves the next: about 5 MiB to 10^7 with 2^18-value
+    # windows, 7 MiB if the previous window stays alive into the next sieve.
     def test_peak_memory_to_10_million(self):
         relaxed_search(10)  # import-time and cached allocations
         tracemalloc.start()
@@ -693,7 +742,7 @@ class TestRelaxedSearch:
         finally:
             tracemalloc.stop()
         assert hits == [5, 35, 1295, 1679615]
-        assert peak < 40 * 2 ** 20
+        assert peak < 6 * 2 ** 20
 
     # 3*phi(n) must fit in int64; the guard must act before any sieving.
     def test_rejects_values_that_wrap_int64(self, monkeypatch):
