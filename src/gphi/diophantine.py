@@ -23,7 +23,7 @@ from itertools import islice
 
 import numpy as np
 
-# euler_phi is not called here, but stays reachable as diophantine.euler_phi.
+# euler_phi and sieve_segment go uncalled here; perfbench's tracer test reads both.
 from .arith import _TRIAL_PRIMES, _check_natural, euler_phi, v2
 from .equation import (
     _EXOTIC_SHAPES,
@@ -46,6 +46,8 @@ from .sieve import (
     primes_in_class,
     read_checkpoint,
     sieve_segment,
+    sweep_dtype,
+    sweep_windows,
     totient_progression,
     write_checkpoint,
 )
@@ -61,19 +63,9 @@ from .sieve import (
 # bounded at any height (0.78 bytes per value of a 2^22 segment near 10^14).
 MAX_EXOTIC_SEGMENT = 400_000_000
 
-# Both searches triple values in int64 (3p - 1 in _exotic_segment, 3*phi(n)
-# in relaxed_search), so no value they sieve may exceed a third of its range.
+# The exotic search triples p in int64 (3p - 1 in _exotic_segment), so no p
+# may exceed a third of int64's range; relaxed_search takes the same maximum.
 MAX_SEARCH_VALUE = (2**63 - 1) // 3
-
-
-# Values per sieve_segment call of the full-range sweeps (relaxed_search and
-# the theorem oracle).  Under tracemalloc relaxed_search to 10^7 peaks at
-# 5 MiB, 20 bytes per value of a window: the sweep's 12 (int32 phi and acc,
-# then the int64 copy of phi) and the int64 index table.  2^19-value windows
-# read 10 MiB and 2^20 20 (28 while the previous window's phi stayed alive
-# into the next sieve), in the same CPU time to 10^7 (244 ms, median of 10);
-# to 10^8 the per-window cost shows: 4.3 s against 3.3 with 2^20, profiled.
-_SWEEP_WINDOW = 1 << 18
 
 # Widest unit of the theorem oracle's m axis: a unit holds phi on at most
 # this many values, 256 MiB in int32 and 512 above 2^31, so its table, not
@@ -99,17 +91,15 @@ class CheckpointMismatchError(ValueError):
 
 
 def _phi_unit(lo, hi):
-    """phi(v) for lo <= v < hi at index v - lo, filled by sieve_segment
-    _SWEEP_WINDOW values at a time.  int32 when hi - 1 < 2^31, else int64:
-    phi(v) <= v < hi, so every entry fits."""
-    dtype = np.dtype(np.int32 if hi <= 2**31 else np.int64)
+    """phi(v) for lo <= v < hi at index v - lo, in sweep_dtype(hi - 1), filled by sweep_windows."""
+    dtype = sweep_dtype(hi - 1)
     try:
         phi = np.zeros(hi - lo, dtype=dtype)
     except MemoryError as exc:
         raise MemoryError(f"phi table on [{lo}, {hi}) needs {dtype.itemsize * (hi - lo)} bytes") from exc
-    for a in range(lo, hi, _SWEEP_WINDOW):
-        b = min(a + _SWEEP_WINDOW, hi)
-        phi[a - lo : b - lo] = sieve_segment(a, b).phi
+    for a, window in sweep_windows(lo, hi):
+        phi[a - lo : a - lo + window.size] = window
+        del window  # so the next window is sieved without this one alive
     return phi
 
 
@@ -139,8 +129,8 @@ def brute_force_solutions(limit):
     The axis [2, 2 * limit] of m = n + phi(n) is split into units [A, B)
     of at most _ORACLE_UNIT values, each with its own phi table.  Since
     phi(n) <= n - 1, the n whose m falls in a unit lie in (A/2, B): phi(n)
-    is read off the table for n >= A and sieved again, _SWEEP_WINDOW values
-    at a time, for n < A.  n is a solution when table[m - A] == n - phi(n),
+    is read off the table for n >= A and sieved again, window by window of
+    sweep_windows, for n < A.  n is a solution when table[m - A] == n - phi(n),
     so no sum of the equation (up to 3 * limit) is formed.
     """
     _check_natural(limit)
@@ -150,10 +140,8 @@ def brute_force_solutions(limit):
     for start in range(2, 2 * limit + 1, _ORACLE_UNIT):
         end = min(start + _ORACLE_UNIT, 2 * limit + 1)
         table = _phi_unit(start, end)
-        below = min(start, limit + 1)
-        for lo in range(start // 2 + 1, below, _SWEEP_WINDOW):
-            hi = min(lo + _SWEEP_WINDOW, below)
-            hits += _unit_hits(table, start, lo, sieve_segment(lo, hi).phi)
+        for lo, tot in sweep_windows(start // 2 + 1, min(start, limit + 1)):
+            hits += _unit_hits(table, start, lo, tot)
         hits += _unit_hits(table, start, start, table[: max(0, min(end, limit + 1) - start)])
         del table  # so the next unit's table is filled without this one alive
     return sorted(hits)
@@ -459,21 +447,19 @@ def _check_resume(path, cp, lo, hi, segment_size):
 def relaxed_search(limit):
     """All n <= limit with 3*phi(n) = 2n + 2 (the primality-free relaxation).
 
-    Scans every n: hits are provably odd, but that is cheap to re-derive and
-    the evenness claim stays a tested property instead of an assumption.
-    The scan walks [2, limit] in sieve_segment windows of _SWEEP_WINDOW
-    values, so its arrays are sized by one window, not by the range.
+    Compares phi(n) with (2n + 2)/3 in int64 for every n = 2 (mod 3), the
+    class where 3 | 2n + 2: hits are provably odd, but that is cheap to
+    re-derive and the evenness claim stays a tested property.  The scan
+    walks [2, limit] by sweep_windows, so its arrays are sized by one window.
     """
     _check_natural(limit)
     if limit > MAX_SEARCH_VALUE:
         raise SieveRangeError(f"limit {limit} above the search maximum {MAX_SEARCH_VALUE}")
     found = []
-    twice_index = np.arange(0, 2 * min(_SWEEP_WINDOW, limit), 2, dtype=np.int64)
-    for lo in range(2, limit + 1, _SWEEP_WINDOW):
-        hi = min(lo + _SWEEP_WINDOW, limit + 1)
-        phi = sieve_segment(lo, hi).phi
-        phi *= 3  # in place, no temporaries: 3*phi(lo + j) - 2*lo - 2 == 2*j
-        phi -= 2 * lo + 2
-        found.extend(lo + int(j) for j in np.flatnonzero(phi == twice_index[: hi - lo]))
+    for lo, phi in sweep_windows(2, limit + 1):
+        n0 = lo + (2 - lo) % 3  # n = n0 + 3k, where (2n + 2)/3 = (2*n0 + 2)/3 + 2k
+        phi = phi[n0 - lo :: 3]
+        third = (2 * n0 + 2) // 3
+        found += (n0 + 3 * np.flatnonzero(phi == np.arange(third, third + 2 * phi.size, 2))).tolist()
         del phi  # so the next window is sieved without this one alive
     return found

@@ -29,7 +29,11 @@ _SPARSE_BATCH = 1 << 14  # strikes expanded at once by the sparse pass
 # Sparse primes taken at once: their per-prime arrays (about 48 bytes each)
 # stay bounded however high the window lies.
 _SPARSE_CHUNK = 1 << 14
-_BASE_WINDOW = 1 << 20  # values a base-prime build sieves at a time (1 MiB of flags)
+# Values per window of the full-range sweep (sweep_windows) and of a base-prime
+# build (_primes_to).  Under tracemalloc relaxed_search to 10^7 peaks at 2.3 MiB
+# and base_primes(10^7) at 0.62 bytes per value (0.83 at 2^20 values).  At 2^20
+# relaxed_search took as long to 10^7, and 3.3 s, not 4.3, to 10^8 (profiled).
+_SWEEP_WINDOW = 1 << 18
 
 
 # The wheel (Pritchard, "Explaining the wheel sieve", Acta Informatica 1982):
@@ -85,7 +89,7 @@ _cache = (1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 def _primes_to(limit):
     """The primes <= limit, read-only, sliced from _cache after extending it
     to limit if limit is above its bound.  The extension sieves the values
-    past the bound _BASE_WINDOW at a time, so a build holds one flag per
+    past the bound _SWEEP_WINDOW at a time, so a build holds one flag per
     value of a window, not of the whole range; a window ends below the
     square of the bound before it, so its own base primes are all cached.
     Each window's primes are written past the cached ones, into a buffer
@@ -99,7 +103,7 @@ def _primes_to(limit):
     global _cache
     bound, primes, buffer = _cache
     while bound < limit:
-        hi = min(bound + 1 + _BASE_WINDOW, (bound + 1) ** 2, limit + 1)
+        hi = min(bound + 1 + _SWEEP_WINDOW, (bound + 1) ** 2, limit + 1)
         new = _sieve_class(bound + 1, hi, 0, 1)
         count = primes.size + new.size
         if count > buffer.size:
@@ -224,9 +228,22 @@ def _check_range(lo, hi, max_size=None):
 
 
 def sieve_segment(lo, hi):
-    """Exact phi array for every integer in [lo, hi), at most DEFAULT_SEGMENT_SIZE."""
+    """Exact phi array, in sweep_dtype(hi - 1), for every integer in [lo, hi), at most DEFAULT_SEGMENT_SIZE."""
     _check_range(lo, hi, DEFAULT_SEGMENT_SIZE)
     return SieveSegment(lo, hi, totient_progression(lo, hi, 0, 1)[1])
+
+
+def sweep_dtype(top):
+    """The dtype of the full-range sweep up to top: int32 below 2^31, else
+    int64.  Exact: every number the sweep holds for a member v (phi, acc,
+    each partial product, v // acc) is at most v (see _finish)."""
+    return np.dtype(np.int32 if top < 2**31 else np.int64)
+
+
+def sweep_windows(lo, hi):
+    """(a, sieve_segment(a, b).phi) for the _SWEEP_WINDOW-value windows [a, b) tiling [lo, hi)."""
+    for a in range(lo, hi, _SWEEP_WINDOW):
+        yield a, sieve_segment(a, min(a + _SWEEP_WINDOW, hi)).phi
 
 
 def primes_in_class(lo, hi, residue, modulus):
@@ -264,11 +281,8 @@ def totient_progression(lo, hi, residue, modulus, at=None):
     (see _sparse_split), are applied together from _sparse_strikes by
     _strike, since two sparse primes may divide one value.
 
-    The sweep works in int32 when the top member is below 2^31, else in
-    int64, and returns int64 either way.  This is exact: every number it
-    holds for a member v (phi, acc, each partial product, v // acc) is at
-    most v (see _finish).  acc is dropped before phi is widened, so a
-    window peaks at about 12 bytes per value in int32 and 17 in int64.
+    The sweep works, and returns phi, in sweep_dtype(top) of its top member;
+    a window peaks at about 8.3-8.9 bytes per value in int32 and 17 in int64.
     """
     if modulus < 1 or math.gcd(residue, modulus) != 1:
         raise ValueError(f"residue {residue} not coprime to modulus {modulus}")
@@ -286,7 +300,7 @@ def totient_progression(lo, hi, residue, modulus, at=None):
     if at is not None:
         return first, _totients_at(first, modulus, count, at, primes, split)
     top = first + modulus * (count - 1)
-    dtype = np.int32 if top < 2**31 else np.int64
+    dtype = sweep_dtype(top)
     # The wheel's factors repeat with period _WHEEL in j: gather them once
     # and tile them over the progression.
     j = np.arange(min(count, _WHEEL), dtype=np.int64)
@@ -318,8 +332,7 @@ def totient_progression(lo, hi, residue, modulus, at=None):
             block_acc[(j0 - b0) % pe :: pe] *= p
         v0 = first + modulus * b0
         _finish(block_phi, block_acc, np.arange(v0, v0 + modulus * block_phi.size, modulus, dtype=dtype))
-    del acc, block_acc  # so the widening copy below is the only array beside phi
-    return first, phi.astype(np.int64, copy=False)
+    return first, phi
 
 
 def _finish(phi, acc, v):

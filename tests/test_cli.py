@@ -132,7 +132,7 @@ class TestVerifyTheorem:
         ("solutions", "--method", "brute"),
     ])
     def test_unallocatable_limit_exits_2(self, capsys, monkeypatch, command):
-        monkeypatch.setattr(diophantine, "sieve_segment", lambda lo, hi: pytest.fail(f"sieved [{lo}, {hi})"))
+        monkeypatch.setattr(sieve, "sieve_segment", lambda lo, hi: pytest.fail(f"sieved [{lo}, {hi})"))
         code, out, err = run(capsys, *command, "--limit", str(10 ** 15))
         assert (code, out) == (2, "")
         assert err == f"error: limit {10 ** 15} above the oracle maximum {diophantine.MAX_ORACLE_LIMIT}\n"
@@ -181,7 +181,7 @@ class TestVerifyTheorem:
         limit = 10 ** 15
         asked = []
         monkeypatch.setattr(diophantine, "exotic_prime_search", lambda *a, **k: asked.append((a, k)) or [])
-        monkeypatch.setattr(diophantine, "sieve_segment", lambda lo, hi: pytest.fail(f"sieved [{lo}, {hi})"))
+        monkeypatch.setattr(sieve, "sieve_segment", lambda lo, hi: pytest.fail(f"sieved [{lo}, {hi})"))
         code, out, err = run(capsys, "solutions", "--limit", str(limit), "--method", "classify")
         records, _ = json_records(out)
         assert (code, err) == (0, "")

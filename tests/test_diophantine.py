@@ -207,8 +207,8 @@ class TestBruteForce:
             assert brute_force_solutions(limit) == [x for x in whole if x <= limit], limit
 
     # The unit table, not the limit, bounds the oracle's memory.  Under
-    # tracemalloc, 2^18-value units to 5 * 10^5 peak at 4.6 MiB: the
-    # table's 1 MiB, a 2^18-value sieve window of phi(n) in int64 and the
+    # tracemalloc, 2^18-value units to 5 * 10^5 peak at 3.8 MiB: the
+    # table's 1 MiB, a 2^18-value sieve window of phi(n) in int32 and the
     # check's temporaries on 2^16 values; one whole table to 10^6 reads
     # 15 MiB.  Smaller units re-sieve more n, which is slow under tracemalloc.
     def test_peak_memory_is_bounded_by_the_unit(self, monkeypatch):
@@ -224,7 +224,7 @@ class TestBruteForce:
         assert len(hits) == 92
         assert peak < 6 * 2 ** 20
 
-    # Under tracemalloc the oracle peaks at 11 bytes per unit of limit: 8
+    # Under tracemalloc the oracle peaks at 10.4 bytes per unit of limit: 8
     # for its one int32 table to 2 * limit, the rest a sieve window's
     # arrays.
     def test_peak_memory_per_unit_of_limit(self):
@@ -731,8 +731,8 @@ class TestRelaxedSearch:
         assert relaxed_search(2_000_000) == [5, 35, 1295, 1679615]
 
     # The scan holds one window of the sweep at a time, not the range, and
-    # drops it before it sieves the next: about 5 MiB to 10^7 with 2^18-value
-    # windows, 7 MiB if the previous window stays alive into the next sieve.
+    # drops it before it sieves the next: about 2.3 MiB to 10^7 with
+    # 2^18-value int32 windows (5 MiB when each came as an int64 copy).
     def test_peak_memory_to_10_million(self):
         relaxed_search(10)  # import-time and cached allocations
         tracemalloc.start()
@@ -742,18 +742,34 @@ class TestRelaxedSearch:
         finally:
             tracemalloc.stop()
         assert hits == [5, 35, 1295, 1679615]
-        assert peak < 6 * 2 ** 20
+        assert peak < 4 * 2 ** 20
 
-    # 3*phi(n) must fit in int64; the guard must act before any sieving.
+    # The search maximum, shared with the exotic search, must act before any
+    # sieving; the window stream calls sieve.sieve_segment.
     def test_rejects_values_that_wrap_int64(self, monkeypatch):
         def no_sieve(lo, hi):
             raise RuntimeError(f"sieved [{lo}, {hi})")
 
-        monkeypatch.setattr(diophantine, "sieve_segment", no_sieve)
+        monkeypatch.setattr(sieve, "sieve_segment", no_sieve)
         with pytest.raises(SieveRangeError):
             relaxed_search(MAX_SEARCH_VALUE + 1)
         with pytest.raises(RuntimeError, match="sieved"):
             relaxed_search(MAX_SEARCH_VALUE)
+
+    # A window below 2^31 comes in int32, where 3*phi(n) wraps for n past
+    # about 7.2 * 10^8.  A stub stream hands one int32 window near 1.5 * 10^9
+    # with phi(n) = floor((2n + 2)/3) planted at three neighbours, one of each
+    # class mod 3: only the one with n = 2 (mod 3) is a hit.
+    def test_exact_on_an_int32_window(self, monkeypatch):
+        lo, width = 1_500_000_000, 1000
+        phi = np.ones(width, dtype=np.int32)
+        hit = lo + 500 + (2 - lo - 500) % 3
+        for n in (hit - 1, hit, hit + 1):
+            phi[n - lo] = (2 * n + 2) // 3
+        bounds = (2, lo + width)
+        monkeypatch.setattr(diophantine, "sweep_windows", lambda *b: iter([(lo, phi)]) if b == bounds else pytest.fail(b))
+        assert 3 * int(phi[hit - lo]) == 2 * hit + 2 > 2 ** 31
+        assert relaxed_search(lo + width - 1) == [hit]
 
     def test_hits_are_odd_with_the_right_class(self):
         for n in relaxed_search(2_000_000):

@@ -1,10 +1,12 @@
 """What each command loads, and the package's exports: scalar commands start
 without numpy or a process pool, and the bulk names are served lazily."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -142,3 +144,24 @@ def test_dir_and_unknown_names():
         gphi.no_such_name
     with pytest.raises(ImportError):
         exec("from gphi import no_such_name", {})
+
+
+# The full-range sweep's window size, window loop and width rule live in
+# gphi.sieve.  No code of diophantine reads sieve_segment, whose binding
+# there stays for perfbench's tracer test only, so a stub of
+# diophantine.sieve_segment would go unseen: stub sieve.sieve_segment, which
+# sweep_windows calls.  Nor does diophantine hold a window-size constant.
+def test_diophantine_reads_the_sweep_only_through_its_window_stream():
+    import gphi.diophantine
+    import gphi.sieve
+
+    module = compile(inspect.getsource(gphi.diophantine), gphi.diophantine.__file__, "exec")
+    stack, read = [c for c in module.co_consts if isinstance(c, types.CodeType)], set()
+    while stack:  # every function and class body, not the imports
+        code = stack.pop()
+        read.update(code.co_names)
+        stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    assert "sieve_segment" not in read and "sweep_windows" in read
+    names = vars(gphi.diophantine)
+    assert [name for name, value in names.items() if "WINDOW" in name.upper() and isinstance(value, int)] == []
+    assert gphi.diophantine.sweep_windows is gphi.sieve.sweep_windows

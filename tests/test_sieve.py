@@ -93,7 +93,7 @@ class TestSieveSegment:
         assert np.array_equal(sieve_segment(lo, hi).phi, phi)
 
     # The sweep works in int32 when its top member is below 2^31, in int64
-    # from 2^31 on; either way it returns int64.  Full 2^20-value windows
+    # from 2^31 on, and returns phi in that dtype.  Full 2^20-value windows
     # ending one below, at and one above 2^31 agree with the scalar phi on a
     # seeded sample, on both ends, and on every multiple of p^2 for the
     # sparse primes p (46337^2 lies in each window).  Their sparse
@@ -103,7 +103,7 @@ class TestSieveSegment:
         width = 1 << 20
         lo = top - width + 1
         phi = sieve_segment(lo, top + 1).phi
-        assert phi.dtype == np.int64 and phi.size == width
+        assert phi.dtype == (np.int32 if top < 2 ** 31 else np.int64) and phi.size == width
         primes = base_primes(math.isqrt(top))
         sparse = primes[_sparse_split(primes, width, 1) :].tolist()
         assert sparse
@@ -114,7 +114,8 @@ class TestSieveSegment:
         for k in sorted(picks):
             assert int(phi[k]) == euler_phi(lo + k), lo + k
 
-    # The width rule: int32 exactly when the top member is below 2^31.
+    # The width rule: int32 exactly when the top member is below 2^31, in the
+    # sweep and in what it returns.
     @pytest.mark.parametrize("top, dtype", [(2 ** 31 - 1, np.int32), (2 ** 31, np.int64)])
     def test_width_rule(self, monkeypatch, top, dtype):
         widths = []
@@ -126,15 +127,15 @@ class TestSieveSegment:
 
         monkeypatch.setattr(sieve, "_finish", spy)
         phi = sieve_segment(top - 99, top + 1).phi
-        assert widths == [dtype]
-        assert phi.dtype == np.int64
+        assert widths == [dtype] and sieve.sweep_dtype(top) == dtype
+        assert phi.dtype == dtype
         assert phi.tolist() == [euler_phi(v) for v in range(top - 99, top + 1)]
 
-    # Under tracemalloc a 2^20 window peaks at phi and acc, plus the int64
-    # copy of phi once acc is dropped: about 12.1 bytes per value in int32
-    # (16.6 when every window was swept in int64), 16.8 in int64 just above
+    # Under tracemalloc a 2^20 window peaks at phi and acc: about 8.3-8.9
+    # bytes per value in int32 (12.1 when phi came back as an int64 copy,
+    # 16.6 when every window was swept in int64), 16.8 in int64 just above
     # 2^31.
-    @pytest.mark.parametrize("lo, bound", [(2, 12.5), (2 ** 31 - (1 << 20), 12.5), (2 ** 31 + 1, 17)])
+    @pytest.mark.parametrize("lo, bound", [(2, 9), (2 ** 31 - (1 << 20), 9), (2 ** 31 + 1, 17)])
     def test_window_peak_memory_per_value(self, lo, bound):
         width = 1 << 20
         sieve_segment(lo, lo + width)  # base primes and import-time allocations
@@ -499,13 +500,13 @@ class TestBasePrimeCache:
             primes[0] = 4
         assert base_primes(100)[0] == 2
 
-    # A build sieves _BASE_WINDOW values at a time, from the cache's bound on:
+    # A build sieves _SWEEP_WINDOW values at a time, from the cache's bound on:
     # small windows put edges on and next to primes, from a cold cache and
     # from a warm one.
     @pytest.mark.parametrize("window", [1, 2, 3, 16, 97, 1000])
     def test_identical_across_window_edges(self, window, monkeypatch, cold_base_primes):
         expected = list(sympy.primerange(2, 5001))
-        monkeypatch.setattr(sieve, "_BASE_WINDOW", window)
+        monkeypatch.setattr(sieve, "_SWEEP_WINDOW", window)
         assert base_primes(5000).tolist() == expected
         cold_base_primes()
         assert base_primes(97).tolist() == expected[:25]
@@ -513,9 +514,9 @@ class TestBasePrimeCache:
         assert base_primes(1000).tolist() == expected[:168]
 
     # One flag per value of a window, not of the range, and one array of
-    # primes, sized once by the bound on pi(10^7): a peak of 0.83 B/value,
-    # where old and new arrays at once read 1.06 and one unsegmented flag
-    # array 2.06.
+    # primes, sized once by the bound on pi(10^7): a peak of 0.62 B/value
+    # with 2^18-value windows (0.83 with 2^20), where old and new arrays at
+    # once read 1.06 and one unsegmented flag array 2.06.
     def test_build_peak_memory_per_value(self, cold_base_primes):
         limit = 10 ** 7
         tracemalloc.start()
@@ -541,7 +542,7 @@ class TestBasePrimeCache:
                 windows.append((lo, hi))
             return original(lo, hi, residue, modulus)
 
-        monkeypatch.setattr(sieve, "_BASE_WINDOW", 1 << 16)
+        monkeypatch.setattr(sieve, "_SWEEP_WINDOW", 1 << 16)
         monkeypatch.setattr(sieve, "_sieve_class", spy)
         assert sieve._primes_to(b).tolist() == list(sympy.primerange(2, b + 1))
         assert len(windows) > 1 and windows[0][0] == a + 1 and windows[-1][1] == b + 1
