@@ -43,6 +43,7 @@ from .sieve import (
     SearchCheckpoint,
     SegmentTooLargeError,
     SieveRangeError,
+    _first_index,
     primes_in_class,
     read_checkpoint,
     sieve_segment,
@@ -294,7 +295,7 @@ def _ratio_candidates(first, count):
     _RATIO_MARGIN = 1e-12, so no q that satisfies the lemma is dropped."""
     ratio = np.ones(count)
     for ell in _RATIO_PRIMES:
-        ratio[(-first * pow(12, -1, ell)) % ell :: ell] *= (ell - 1) / ell
+        ratio[_first_index(first, 12, ell) :: ell] *= (ell - 1) / ell
     q_max, w = first + 12 * (count - 1), 0
     while _RATIO_SPLIT ** (w + 1) <= q_max:
         w += 1

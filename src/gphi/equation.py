@@ -69,14 +69,14 @@ def family_members(kind, ell_max, m=None):
     elif kind in _EXOTIC_SHAPES:
         if m is None:
             raise ValueError("exotic families require the parameter m")
-        if not _is_exotic(m):
-            raise ValueError(f"m={m} is not exotic: needs 8m+7 prime and phi(6m+5) = 4m+4")
         a, b = _EXOTIC_SHAPES[kind]
         q, start = a * m + b, 1
     else:
         raise ValueError(f"no family for kind {kind!r}")
     if q.bit_length() + ell_max > NATURAL_BITS:
         raise ValueError(f"member {q} * 2^{ell_max} is past the {NATURAL_BITS}-bit width")
+    if kind in _EXOTIC_SHAPES and not _is_exotic(m):
+        raise ValueError(f"m={m} is not exotic: needs 8m+7 prime and phi(6m+5) = 4m+4")
     members = [q << ell for ell in range(start, ell_max + 1)]
     for candidate in members:
         if not is_solution(candidate):
@@ -118,6 +118,9 @@ def case_trace(n):
     in the l2 = l1 case it is the odd part of n itself.  Either way
     3p - 1 = 2^k * q with phi(q) = (2/3)(q + 1) for genuine solutions.
     """
+    _check_natural(n)
+    if n.bit_length() > NATURAL_BITS:
+        raise ValueError(f"n = {n} is past the {NATURAL_BITS}-bit width")
     if not is_solution(n):
         raise ValueError(f"case_trace requires a solution, {n} is not one")
     tot = euler_phi(n)

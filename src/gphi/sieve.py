@@ -20,8 +20,7 @@ from .limits import DEFAULT_SEGMENT_SIZE
 # exceed the value, so the values themselves are the only magnitude constraint.
 MAX_SIEVE_VALUE = 1 << 62
 
-_BLOCK = 1 << 16  # totient_progression: phi and acc of a block (1 MiB) fit in L2
-_DENSE_BELOW = 1 << 8  # smaller prime powers hit every block 256 or more times
+_BLOCK = 1 << 16  # members per _finish of the sweep, and per modulus test batch of _totients_at
 # A prime striking fewer members than this costs more in interpreter overhead
 # than in its strided write; such primes go through one vectorized pass.
 _STRIDED_HITS = 64
@@ -32,7 +31,7 @@ _SPARSE_CHUNK = 1 << 14
 # Values per window of the full-range sweep (sweep_windows) and of a base-prime
 # build (_primes_to).  Under tracemalloc relaxed_search to 10^7 peaks at 2.3 MiB
 # and base_primes(10^7) at 0.62 bytes per value (0.83 at 2^20 values).  At 2^20
-# relaxed_search took as long to 10^7, and 3.3 s, not 4.3, to 10^8 (profiled).
+# relaxed_search takes as long to 10^7, and 2.7 s of CPU, not 2.9, to 10^8.
 _SWEEP_WINDOW = 1 << 18
 
 
@@ -124,6 +123,11 @@ def _progression(lo, hi, residue, modulus):
     return first, max(0, (hi - first + modulus - 1) // modulus)
 
 
+def _first_index(first, modulus, d):
+    """The strike rule: the least j >= 0 with d | first + modulus*j, for d coprime to the modulus."""
+    return -first * pow(modulus, -1, d) % d
+
+
 def _sparse_split(primes, count, modulus):
     """Index of the first sparse prime in the ascending primes: from there on
     each p strikes fewer than _STRIDED_HITS of count members and exceeds the
@@ -152,9 +156,9 @@ def _inverses(modulus, primes):
 def _sparse_strikes(first, modulus, count, primes):
     """Batches (j, p) of equal-length arrays: every index j < count whose
     member first + modulus*j is a multiple of p, for each p in primes, all
-    from a _sparse_split tail.  The first index of p is -first / modulus
-    (mod p), the strike rule of both kernels, from residues below 2^31, so
-    products stay below 2^62.  Primes are taken _SPARSE_CHUNK at a time."""
+    from a _sparse_split tail.  The first index of p is _first_index(first,
+    modulus, p), here vectorized over the primes from residues below 2^31,
+    so products stay below 2^62.  Primes are taken _SPARSE_CHUNK at a time."""
     for c0 in range(0, primes.size, _SPARSE_CHUNK):
         chunk = primes[c0 : c0 + _SPARSE_CHUNK]
         j0 = (-first) % chunk * _inverses(modulus, chunk) % chunk
@@ -188,10 +192,9 @@ def _sieve_class(lo, hi, residue, modulus):
     struck only as a base prime, by itself, and the base primes of the
     window and class (none above the first window) are marked again.
 
-    Base primes come in two tiers.  Strided: each p up to the _sparse_split
-    point not dividing the modulus writes every p-th member in one slice;
-    the flags are one byte each, so no small prime needs the block loop of
-    totient_progression.  Sparse: all larger p, which strike fewer than
+    Base primes come in the two tiers of totient_progression.  Strided: each
+    p up to the _sparse_split point not dividing the modulus writes every
+    p-th member in one slice.  Sparse: all larger p, which strike fewer than
     _STRIDED_HITS members each, are struck together by _sparse_strikes."""
     first, count = _progression(lo, hi, residue, modulus)
     flags = np.ones(count, dtype=bool)
@@ -199,7 +202,7 @@ def _sieve_class(lo, hi, residue, modulus):
     split = _sparse_split(primes, count, modulus)
     for p in primes[:split].tolist():
         if modulus % p:
-            flags[(-first * pow(modulus, -1, p)) % p :: p] = False
+            flags[_first_index(first, modulus, p) :: p] = False
     for j, _ in _sparse_strikes(first, modulus, count, primes[split:]):
         flags[j] = False  # a repeated index strikes the same flag again
     own = primes[int(np.searchsorted(primes, first)) :]
@@ -273,13 +276,13 @@ def totient_progression(lo, hi, residue, modulus, at=None):
     part acc by p; v // acc is then 1 or v's one prime factor above sqrt(hi).
     phi and acc start from the wheel of period _WHEEL = 2520 (Pritchard,
     Acta Informatica 1982), which holds the factors of 2, 4, 8, 3, 9, 5 and
-    7; the other prime powers come in three tiers by how many members they
-    hit.  Dense (p^e < _DENSE_BELOW), which touch most cache lines, run
-    block by block in cache, as does the final division over every member
-    (_finish, unmasked).  Strided ones sweep the whole range once per power.
-    Sparse primes, each above 7 and hitting fewer than _STRIDED_HITS members
-    (see _sparse_split), are applied together from _sparse_strikes by
-    _strike, since two sparse primes may divide one value.
+    7; the other prime powers come in two tiers by how many members they
+    hit.  Strided: each power of a prime up to the _sparse_split point
+    writes one slice over the window, from its _first_index.  Sparse
+    primes, each above 7 and hitting fewer than _STRIDED_HITS members, are
+    applied together from _sparse_strikes by _strike, since two sparse
+    primes may divide one value.  The final division over every member
+    (_finish, unmasked) runs _BLOCK members at a time.
 
     The sweep works, and returns phi, in sweep_dtype(top) of its top member;
     a window peaks at about 8.3-8.9 bytes per value in int32 and 17 in int64.
@@ -307,31 +310,21 @@ def totient_progression(lo, hi, residue, modulus, at=None):
     residues = (first % _WHEEL + modulus % _WHEEL * j) % _WHEEL
     phi = np.resize(_WHEEL_PHI.astype(dtype)[residues], count)
     acc = np.resize(_WHEEL_ACC.astype(dtype)[residues], count)
-    dense = []  # (p^e, first index it divides, phi factor, p), run per block
     for p in primes[:split].tolist():
         pe = p
         while pe <= top and modulus % p:
-            if _WHEEL % pe == 0:  # preset by the wheel
-                pe *= p
-                continue
-            j0 = (-first * pow(modulus, -1, pe)) % pe
-            if j0 >= count:
-                break
-            if pe < _DENSE_BELOW:
-                dense.append((pe, j0, p - 1 if pe == p else p, p))
-            else:
+            if _WHEEL % pe:  # the wheel presets the others
+                j0 = _first_index(first, modulus, pe)
+                if j0 >= count:
+                    break
                 phi[j0::pe] *= p - 1 if pe == p else p
                 acc[j0::pe] *= p
             pe *= p
     for j, p in _sparse_strikes(first, modulus, count, primes[split:]):
         _strike(phi, acc, j, first + modulus * j, p)
     for b0 in range(0, count, _BLOCK):
-        block_phi, block_acc = phi[b0 : b0 + _BLOCK], acc[b0 : b0 + _BLOCK]
-        for pe, j0, factor, p in dense:
-            block_phi[(j0 - b0) % pe :: pe] *= factor
-            block_acc[(j0 - b0) % pe :: pe] *= p
-        v0 = first + modulus * b0
-        _finish(block_phi, block_acc, np.arange(v0, v0 + modulus * block_phi.size, modulus, dtype=dtype))
+        b1 = min(b0 + _BLOCK, count)
+        _finish(phi[b0:b1], acc[b0:b1], np.arange(first + modulus * b0, first + modulus * b1, modulus, dtype=dtype))
     return first, phi
 
 

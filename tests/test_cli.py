@@ -529,6 +529,21 @@ class TestFamilies:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # 6m + 5 = P*Q with P and Q 101-bit primes and 8m + 7 prime, so checking
+    # that m is exotic would factor a 202-bit semiprime by rho.  The member
+    # (8m + 7) * 2 passes the width, which is checked first.
+    def test_exotic_m_past_the_width_is_not_factored(self):
+        pq = 1869960064239292605795499058881 * 2004967107266085912556071254723
+        m = (pq - 5) // 6
+        assert 6 * m + 5 == pq and arith.is_prime(8 * m + 7) and m.bit_length() == 199
+        proc = subprocess.run(
+            [sys.executable, "-m", "gphi.cli", "families", "--kind", "exotic_a", "--m", str(m), "--max-exponent", "1"],
+            capture_output=True, text=True, env=cli_env(), timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: member") and "192-bit width" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
 
 class TestTrace:
     def test_70(self, capsys):
@@ -551,6 +566,18 @@ class TestTrace:
         code, _, err = run(capsys, "trace", "--n", "2")
         assert code == 2
         assert "error:" in err
+
+    # 2*P*Q, P and Q 110-bit primes: 221 bits, which is_solution would
+    # factor by rho before finding it is no solution.
+    def test_n_past_the_width_is_not_factored(self):
+        n = 2 * 1104592565965467938560570651178647 * 919845431762468729702909402745709
+        assert n.bit_length() == 221
+        proc = subprocess.run(
+            [sys.executable, "-m", "gphi.cli", "trace", "--n", str(n)],
+            capture_output=True, text=True, env=cli_env(), timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: n = {n} is past the 192-bit width\n"
 
 
 class TestInterface:

@@ -165,3 +165,25 @@ def test_diophantine_reads_the_sweep_only_through_its_window_stream():
     names = vars(gphi.diophantine)
     assert [name for name, value in names.items() if "WINDOW" in name.upper() and isinstance(value, int)] == []
     assert gphi.diophantine.sweep_windows is gphi.sieve.sweep_windows
+
+
+# The strike rule, the least j with d | first + modulus*j, is spelled once,
+# in sieve._first_index; _sparse_strikes vectorizes it through _inverses,
+# which inverts residues modulo the modulus, not the modulus.  So no other
+# function of sieve or diophantine calls pow(x, -1, y).
+def test_the_first_index_rule_is_spelled_once():
+    import ast
+
+    import gphi.diophantine
+    import gphi.sieve
+
+    inverting = set()
+    for module in (gphi.sieve, gphi.diophantine):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.FunctionDef):
+                for call in ast.walk(node):
+                    if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "pow"
+                            and len(call.args) == 3 and ast.unparse(call.args[1]) == "-1"):
+                        inverting.add(f"{module.__name__}.{node.name}")
+    assert inverting == {"gphi.sieve._first_index", "gphi.sieve._inverses"}
+    assert gphi.diophantine._first_index is gphi.sieve._first_index

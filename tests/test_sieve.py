@@ -15,6 +15,7 @@ from gphi.sieve import (
     _BLOCK,
     _STRIDED_HITS,
     _WHEEL,
+    _first_index,
     _sparse_split,
     _sparse_strikes,
     SearchCheckpoint,
@@ -366,6 +367,25 @@ class TestSparseTier:
         assert len(batches) >= 3
         self.check(lo, hi, v % modulus, modulus)
 
+    # The strike rule is the least j with d | first + modulus*j, and the
+    # sparse pass, its vectorized form, starts each prime there.
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_first_index_is_the_least_struck_member(self, modulus):
+        first = 10 ** 12 + 1 + modulus * 7
+        first += (1 - first) % modulus
+        for d in (11, 13, 121, 1331, 1009, 1013 ** 2):
+            j = _first_index(first, modulus, d)
+            assert 0 <= j < d and (first + modulus * j) % d == 0
+            assert all((first + modulus * i) % d for i in range(j))
+        primes = base_primes(2000)
+        sparse = primes[_sparse_split(primes, 6400, modulus):]
+        assert sparse.size > 200
+        starts = {}
+        for js, ps in _sparse_strikes(first, modulus, 6400, sparse):
+            for j, p in zip(js.tolist(), ps.tolist()):
+                starts.setdefault(p, j)
+        assert starts == {p: _first_index(first, modulus, p) for p in sparse.tolist()}
+
 
 def adjacent_primes_near(near, residue, modulus):
     """Adjacent primes P < P2 below near with P*P2 = residue (mod modulus).
@@ -420,9 +440,10 @@ class TestEvaluatedMembers:
         self.check(lo, hi, residue, modulus, struck[1::2])
         self.check(lo, hi, residue, modulus, [j for j in range(201) if j not in struck])
 
-    # Members divisible by 5^k and 7^k, whose powers pass _DENSE_BELOW and
-    # the strided tier, and by the square and cube of the sparse prime 1009,
-    # near 10^12: each with 40 random members around it.
+    # Members divisible by 5^k and 7^k, whose powers pass the wheel's 5 and
+    # 7 and the strided tier's 5^2, 7^2 and beyond, and by the square and
+    # cube of the sparse prime 1009, near 10^12: each with 40 random members
+    # around it.
     @pytest.mark.parametrize("residue, modulus", [(0, 1), (11, 12)])
     @pytest.mark.parametrize("base, powers", [(5, range(1, 18)), (7, range(1, 15)), (1009, (2, 3))])
     def test_prime_power_members(self, base, powers, residue, modulus):
@@ -437,8 +458,8 @@ class TestEvaluatedMembers:
             assert (lo + (residue - lo) % modulus) + modulus * 60 == v
             self.check(lo, hi, residue, modulus, at)
 
-    # With a small _BLOCK the modulus tests of the dense and strided primes
-    # run a few members at a time.
+    # With a small _BLOCK the modulus tests of the primes below the sparse
+    # split run a few members at a time.
     def test_modulus_tests_span_several_chunks(self, monkeypatch):
         monkeypatch.setattr(sieve, "_BLOCK", 64)
         lo = 10 ** 9 + 7
