@@ -7,6 +7,8 @@ solution shapes and then confirming every positive match against the
 equation, so a transcription bug turns into a loud error instead of a
 wrong answer.  classify_range() classifies whole sweeps from the family
 index and the exotic search, held to classify on a sample of each range.
+relaxed_search() solves 3*phi(q) = 2q + 2 on a search tree of prefixes of
+q's primes, held to a phi scan of [2, 2^21] in every run.
 
 The scalar side (is_solution, the solution shapes, family_members and
 case_trace) lives in equation, which needs no numpy; its names are
@@ -15,6 +17,8 @@ re-exported here.
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 import random
 from contextlib import nullcontext
@@ -24,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 # euler_phi and sieve_segment go uncalled here; perfbench's tracer test reads both.
-from .arith import _TRIAL_PRIMES, _check_natural, euler_phi, v2
+from .arith import _TRIAL_PRIMES, _check_natural, _integer_root, euler_phi, factorize, is_prime, v2
 from .equation import (
     _EXOTIC_SHAPES,
     FAMILIES,
@@ -44,6 +48,7 @@ from .sieve import (
     SegmentTooLargeError,
     SieveRangeError,
     _first_index,
+    base_primes,
     primes_in_class,
     read_checkpoint,
     sieve_segment,
@@ -445,22 +450,174 @@ def _check_resume(path, cp, lo, hi, segment_size):
             raise CheckpointMismatchError(f"checkpoint file {path}: hit m={m} is not a hit in [{lo}, {done})")
 
 
-def relaxed_search(limit):
-    """All n <= limit with 3*phi(n) = 2n + 2 (the primality-free relaxation).
+# The two-more close of _relaxed_tree tests the primes s in (P, sqrt(X/a)]
+# directly, in one int64 pass, when fewer than this many values lie there,
+# instead of factoring N.  The base primes then reach past X^(1/3) by as much.
+_DIRECT_SPAN = 50_000
+
+# relaxed_search checks the enumerator against the phi scan up to this value:
+# about 60 ms of CPU on a 2-core Xeon, and it holds all four known hits 5, 35,
+# 1295 and 1679615.
+_RELAXED_PREFIX = 1 << 21
+
+
+def _scan_hits(top):
+    """All n in [2, top] with 3*phi(n) = 2n + 2, from the phi sweep.
 
     Compares phi(n) with (2n + 2)/3 in int64 for every n = 2 (mod 3), the
     class where 3 | 2n + 2: hits are provably odd, but that is cheap to
     re-derive and the evenness claim stays a tested property.  The scan
-    walks [2, limit] by sweep_windows, so its arrays are sized by one window.
+    walks [2, top] by sweep_windows, so its arrays are sized by one window.
+    It is the oracle of _relaxed_tree and shares none of its search logic;
+    both read the cache of base_primes.
     """
-    _check_natural(limit)
-    if limit > MAX_SEARCH_VALUE:
-        raise SieveRangeError(f"limit {limit} above the search maximum {MAX_SEARCH_VALUE}")
     found = []
-    for lo, phi in sweep_windows(2, limit + 1):
+    for lo, phi in sweep_windows(2, top + 1):
         n0 = lo + (2 - lo) % 3  # n = n0 + 3k, where (2n + 2)/3 = (2*n0 + 2)/3 + 2k
         phi = phi[n0 - lo :: 3]
         third = (2 * n0 + 2) // 3
         found += (n0 + 3 * np.flatnonzero(phi == np.arange(third, third + 2 * phi.size, 2))).tolist()
         del phi  # so the next window is sieved without this one alive
     return found
+
+
+def _window_pairs(a, phi_a, s):
+    """The pairs (s, r) of the two-more close of the prefix a, phi(a) = phi_a,
+    over the primes s of an int64 array, each with D*s > F: those where
+    r = (F(s - 1) + 2)/(Ds - F) is an integer above s.
+
+    F = 3*phi(a) and D = F - 2a.  Exact in int64 up to MAX_SEARCH_VALUE:
+    the caller's s are at most sqrt(X/a), so every operand is below
+    F*s < 3a*sqrt(X/a) = 3*sqrt(aX) <= 3X < 2^63."""
+    big_f = 3 * phi_a
+    big_d = big_f - 2 * a
+    num = big_f * (s - 1) + 2
+    den = big_d * s - big_f
+    whole = num % den == 0
+    s, r = s[whole], num[whole] // den[whole]
+    above = r > s
+    return list(zip(s[above].tolist(), r[above].tolist()))
+
+
+def _divisor_pairs(big_f, big_d, big_p):
+    """The pairs (s, r) of the two-more close with F = big_f, D = big_d
+    from the divisors d = Ds - F < sqrt(N) of N = F^2 - D(F - 2), with
+    s = (d + F)/D a prime above big_p and r = (N/d + F)/D an integer."""
+    n = big_f * big_f - big_d * (big_f - 2)
+    divisors = [1]
+    for p, e in factorize(n).factors:
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    pairs = []
+    for d in divisors:
+        if d * d < n and (d + big_f) % big_d == 0 and (n // d + big_f) % big_d == 0:
+            s = (d + big_f) // big_d
+            if s > big_p and is_prime(s):
+                pairs.append((s, (n // d + big_f) // big_d))
+    return pairs
+
+
+def _breaks(a, phi_as, s, limit):
+    """Whether the three-or-more loop of _relaxed_tree at the prefix a stops
+    at its prime s, phi(as) = phi_as: with j the largest integer with
+    s^j <= X/(as), X = limit,
+        3*phi(as)*(s - 1)^j * a*s^3 >= 2*(a*s^3 + 1) * as * s^j.
+    Then no q <= X in the subtree of a*s solves 3*phi(q) = 2q + 2: such a q
+    is a*s times at least two primes, each above s, so q > a*s^3, and at most j,
+    so phi(q)/q > phi(as)/(as) * ((s - 1)/s)^j, which the inequality puts
+    at or above 2/3 + 2/(3*a*s^3) > 2/3 + 2/(3q) = phi(q)/q.  As s grows,
+    phi(as)/(as) and ((s - 1)/s)^j rise (j does not grow) and the right
+    side falls, so the break holds for every larger s too."""
+    cube = a * s**3
+    j, power = 0, 1
+    while power * s <= limit // (a * s):
+        j, power = j + 1, power * s
+    return 3 * phi_as * (s - 1) ** j * cube >= 2 * (cube + 1) * a * s * power
+
+
+def _relaxed_tree(limit):
+    """(hits, nodes, tried): every q <= limit with 3*phi(q) = 2q + 2,
+    ascending, from a search tree; nodes counts the prefixes it visited and
+    tried the primes its three-or-more loops took.
+
+    A hit q is odd, prime to 3, squarefree and cyclic: a prime dividing q
+    and phi(q) divides 3*phi(q) - 2q = 2, and 3 | q would put 3 | 2q + 2.
+    The nodes are prefixes a of q's ascending primes, largest prime P, all
+    at least 5, with phi(a)/a > 2/3, since each further prime lowers the
+    ratio and phi(q)/q = 2/3 + 2/(3q).  With F = 3*phi(a) > 2a and
+    D = F - 2a, a node closes q = a*r, q = a*s*r and longer q:
+    - one more prime r: r*D = F + 2.  Only at the root a = 1 (r = 5); every
+      other node comes from a loop below, whose parent's two-more close
+      covers its one-more close.
+    - two more primes P < s < r: (Ds - F)(Dr - F) = N = F^2 - D(F - 2), so
+      Ds - F is a divisor of N below sqrt(N), from arith.factorize; when
+      fewer than _DIRECT_SPAN values lie in (P, sqrt(X/a)], where s lies
+      since a*s^2 < a*s*r <= X, _window_pairs tests those base primes
+      instead.  r and a factored s are proven with is_prime.
+    - three or more: the children a*s, for the primes s with Ds > F (that
+      is phi(as)/(as) > 2/3), a*s^3 < X and gcd(a, s - 1) = 1 (cyclic),
+      up to the first s where _breaks.
+    Every bound is exact integer arithmetic.  A loop's s stays below
+    X^(1/3) and a window ends below P + _DIRECT_SPAN with P < X^(1/3), so
+    base primes up to min(X^(1/3) + _DIRECT_SPAN, sqrt(X)) cover both; a
+    node that would need a prime past them raises
+    InternalInconsistencyError.  The search is D. H. Lehmer's for his
+    totient problem (Bull. AMS 1932): the last prime follows from the
+    cofactor, and phi(q)/q bounds the tree.
+    """
+    bound = min(_integer_root(limit, 3) + _DIRECT_SPAN, math.isqrt(limit))
+    primes = base_primes(bound) if bound >= 2 else np.empty(0, dtype=np.int64)
+    listed = primes.tolist()
+    hits, nodes, tried = [], 0, 0
+    stack = [(1, 1, 3)]  # (a, phi(a), P): q is prime to 6, so its primes exceed 3
+    while stack:
+        a, phi_a, big_p = stack.pop()
+        nodes += 1
+        big_f = 3 * phi_a
+        big_d = big_f - 2 * a
+        if a == 1 and (big_f + 2) % big_d == 0:  # the one-more close, at the root only
+            r = (big_f + 2) // big_d
+            if big_p < r <= limit // a and is_prime(r):
+                hits.append(a * r)
+        first = bisect.bisect_right(listed, max(big_p, big_f // big_d))  # the least s with s > P, Ds > F
+        top = math.isqrt(limit // a)
+        if top - big_p < _DIRECT_SPAN:
+            if top > bound:
+                raise InternalInconsistencyError(f"relaxed tree: prefix {a} needs primes to {top}, past the base primes to {bound}")
+            pairs = _window_pairs(a, phi_a, primes[first : bisect.bisect_right(listed, top)])
+        else:
+            pairs = _divisor_pairs(big_f, big_d, big_p)
+        hits += [a * s * r for s, r in pairs if a * s * r <= limit and is_prime(r)]
+        for i in range(first, len(listed)):
+            s = listed[i]
+            if a * s**3 >= limit:
+                break
+            tried += 1
+            phi_as = phi_a * (s - 1)
+            if _breaks(a, phi_as, s, limit):
+                break
+            if math.gcd(a, s - 1) == 1:
+                stack.append((a * s, phi_as, s))
+        else:  # out of base primes
+            if a * (bound + 1) ** 3 < limit:
+                raise InternalInconsistencyError(f"relaxed tree: prefix {a} runs past the base primes to {bound}")
+    return sorted(hits), nodes, tried
+
+
+def relaxed_search(limit):
+    """All n <= limit with 3*phi(n) = 2n + 2 (the primality-free relaxation).
+
+    The hits come from the search tree of _relaxed_tree.  First the phi
+    scan _scan_hits runs on [2, min(limit, 2^21)], which holds the four
+    known hits; if the tree's hits there differ from the scan's, the search
+    raises InternalInconsistencyError, so every run carries an independent
+    check.
+    """
+    _check_natural(limit)
+    if limit > MAX_SEARCH_VALUE:
+        raise SieveRangeError(f"limit {limit} above the search maximum {MAX_SEARCH_VALUE}")
+    top = min(limit, _RELAXED_PREFIX)
+    scanned = _scan_hits(top)
+    hits = _relaxed_tree(limit)[0]
+    if (tree := [q for q in hits if q <= top]) != scanned:
+        raise InternalInconsistencyError(f"relaxed_search: the search tree finds {tree} up to {top}, the phi scan {scanned}")
+    return hits

@@ -29,9 +29,9 @@ _SPARSE_BATCH = 1 << 14  # strikes expanded at once by the sparse pass
 # stay bounded however high the window lies.
 _SPARSE_CHUNK = 1 << 14
 # Values per window of the full-range sweep (sweep_windows) and of a base-prime
-# build (_primes_to).  Under tracemalloc relaxed_search to 10^7 peaks at 2.3 MiB
-# and base_primes(10^7) at 0.62 bytes per value (0.83 at 2^20 values).  At 2^20
-# relaxed_search takes as long to 10^7, and 2.7 s of CPU, not 2.9, to 10^8.
+# build (_primes_to).  Under tracemalloc the relaxed phi scan to 10^7 peaks at
+# 2.3 MiB and base_primes(10^7) at 0.62 bytes per value (0.83 at 2^20 values).
+# At 2^20 the scan takes as long to 10^7, and 2.7 s of CPU, not 2.9, to 10^8.
 _SWEEP_WINDOW = 1 << 18
 
 

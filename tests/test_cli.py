@@ -416,6 +416,21 @@ class TestSearchRelaxed:
         assert code == 0
         assert [r["n"] for r in records] == [5, 35]
 
+    # The phi scan checks the search tree on [2, 2^21] in every run: a tree
+    # that loses 1295 exits 1 with one line and no records.
+    def test_tree_against_the_scan_exits_1(self, capsys, monkeypatch):
+        tree = diophantine._relaxed_tree
+
+        def lossy(limit):
+            hits, *counts = tree(limit)
+            return [q for q in hits if q != 1295], *counts
+
+        monkeypatch.setattr(diophantine, "_relaxed_tree", lossy)
+        code, out, err = run(capsys, "search-relaxed", "--limit", "2000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: inconsistency:") and err.count("\n") == 1
+
 
 class TestOrbit:
     def test_3114(self, capsys):

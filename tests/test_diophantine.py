@@ -733,16 +733,19 @@ class TestRelaxedSearch:
     # The scan holds one window of the sweep at a time, not the range, and
     # drops it before it sieves the next: about 2.3 MiB to 10^7 with
     # 2^18-value int32 windows (5 MiB when each came as an int64 copy).
+    # relaxed_search scans only [2, 2^21] and its tree holds base primes to
+    # sqrt(10^7) and a stack of prefixes.
     def test_peak_memory_to_10_million(self):
-        relaxed_search(10)  # import-time and cached allocations
-        tracemalloc.start()
-        try:
-            hits = relaxed_search(10 ** 7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert hits == [5, 35, 1295, 1679615]
-        assert peak < 4 * 2 ** 20
+        for search in (diophantine._scan_hits, relaxed_search):
+            search(10)  # import-time and cached allocations
+            tracemalloc.start()
+            try:
+                hits = search(10 ** 7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert hits == [5, 35, 1295, 1679615]
+            assert peak < 4 * 2 ** 20, search
 
     # The search maximum, shared with the exotic search, must act before any
     # sieving; the window stream calls sieve.sieve_segment.
@@ -769,7 +772,7 @@ class TestRelaxedSearch:
         bounds = (2, lo + width)
         monkeypatch.setattr(diophantine, "sweep_windows", lambda *b: iter([(lo, phi)]) if b == bounds else pytest.fail(b))
         assert 3 * int(phi[hit - lo]) == 2 * hit + 2 > 2 ** 31
-        assert relaxed_search(lo + width - 1) == [hit]
+        assert diophantine._scan_hits(lo + width - 1) == [hit]
 
     def test_hits_are_odd_with_the_right_class(self):
         for n in relaxed_search(2_000_000):
@@ -782,6 +785,98 @@ class TestRelaxedSearch:
         from_relaxed = {(n - 5) // 6 for n in relaxed if is_prime(8 * (n - 5) // 6 + 7)}
         exotic = {w.m for w in exotic_prime_search(2, 8 * ((10 ** 6 - 5) // 6) + 8)}
         assert from_relaxed == exotic == {0, 5}
+
+
+def squarefree_cyclic(limit):
+    """(q, phi(q), q's primes ascending) for every q in (1, limit] that is
+    squarefree, cyclic (no prime of q divides p - 1 for a prime p of q) and
+    made of primes of at least 5: a walk bounded by q <= limit alone, on
+    sympy's primes."""
+    primes = list(sympy.primerange(5, limit + 1))
+    stack = [(1, 1, 0, ())]
+    while stack:
+        a, phi_a, first, factors = stack.pop()
+        for k in range(first, len(primes)):
+            p = primes[k]
+            if a * p > limit:
+                break
+            if math.gcd(a, p - 1) == 1:
+                node = (a * p, phi_a * (p - 1), factors + (p,))
+                yield node
+                stack.append((*node[:2], k + 1, node[2]))
+
+
+class TestRelaxedTree:
+    @pytest.fixture(scope="class")
+    def scanned(self):
+        return diophantine._scan_hits(10 ** 7)
+
+    def test_equals_the_scan(self, scanned):
+        assert scanned == [5, 35, 1295, 1679615]
+        for limit in [*range(1, 3001), 10 ** 4, 10 ** 5, 2 * 10 ** 6, 10 ** 7]:
+            assert diophantine._relaxed_tree(limit)[0] == [n for n in scanned if n <= limit], limit
+
+    # Prefixes visited and primes taken by the three-or-more loops.  The
+    # node counts are those of an earlier prototype of the same tree (also
+    # 20,901 at 10^15 and 82,114 at 10^16).  Dropping the cyclic test adds
+    # nodes; a break turned into a skip adds loop steps.
+    @pytest.mark.parametrize("limit, nodes, tried", [
+        (10 ** 7, 31, 46), (10 ** 10, 268, 503), (10 ** 12, 943, 1780),
+    ])
+    def test_node_counts(self, limit, nodes, tried):
+        assert diophantine._relaxed_tree(limit) == ([5, 35, 1295, 1679615], nodes, tried)
+
+    # Every squarefree cyclic q <= 2 * 10^6 from primes of at least 5: the
+    # tree finds exactly its hits, and wherever the loop's break fires at
+    # q's prefix a and prime s, with two or more primes of q above s,
+    # 3*phi(q) > 2q + 2 as _breaks claims, for every such q, not just hits.
+    def test_no_bound_removes_a_hit(self):
+        limit = 2 * 10 ** 6
+        hits, broken = [], 0
+        for q, phi_q, factors in squarefree_cyclic(limit):
+            if 3 * phi_q == 2 * q + 2:
+                hits.append(q)
+            a, phi_a = 1, 1
+            for s in factors[:-2]:
+                if diophantine._breaks(a, phi_a * (s - 1), s, limit):
+                    broken += 1
+                    assert 3 * phi_q > 2 * q + 2, (q, a, s)
+                a, phi_a = a * s, phi_a * (s - 1)
+        assert broken > 1000
+        assert sorted(hits) == diophantine._relaxed_tree(limit)[0] == [5, 35, 1295, 1679615]
+
+    # The int64 window test against the same test in Python ints: at the
+    # search maximum on the prefix 13*17*19*23*29*31*41*61, a node of the
+    # tree there with the largest operands among those that test 500 primes
+    # or more, and on the prefix 35, where it finds the pair (37, 1297) of
+    # 1679615 = 35 * 37 * 1297.
+    def test_window_test_is_exact_at_the_search_maximum(self):
+        def python_pairs(a, phi_a, s):
+            f, d = 3 * phi_a, 3 * phi_a - 2 * a
+            pairs = [(p, (f * (p - 1) + 2) // (d * p - f)) for p in s.tolist() if (f * (p - 1) + 2) % (d * p - f) == 0]
+            return [(p, r) for p, r in pairs if r > p]
+
+        a = 13 * 17 * 19 * 23 * 29 * 31 * 41 * 61
+        phi_a = 12 * 16 * 18 * 22 * 28 * 30 * 40 * 60
+        top = math.isqrt(MAX_SEARCH_VALUE // a)
+        assert top - 61 < diophantine._DIRECT_SPAN
+        s = sieve.base_primes(top)
+        s = s[s > max(61, 3 * phi_a // (3 * phi_a - 2 * a))]
+        assert s.size > 500
+        assert 2 ** 50 < 3 * phi_a * int(s[-1]) < 3 * math.isqrt(a * MAX_SEARCH_VALUE)
+        assert diophantine._window_pairs(a, phi_a, s) == python_pairs(a, phi_a, s)
+        s = sieve.base_primes(2000)
+        s = s[s > 36]  # F = 72, D = 2
+        pairs = diophantine._window_pairs(35, 24, s)
+        assert pairs == python_pairs(35, 24, s)
+        assert dict(pairs)[37] == 1297
+
+    # A relaxed hit q with p = (4q + 1)/3 prime is the companion of the exotic
+    # prime p, and the other way round.
+    def test_witnesses_match_the_exotic_search(self):
+        limit = 10 ** 8
+        tree = {q for q in diophantine._relaxed_tree(limit)[0] if is_prime((4 * q + 1) // 3)}
+        assert tree == {w.q for w in exotic_prime_search(2, (4 * limit + 1) // 3 + 1)} == {5, 35}
 
 
 class TestFamilyMembers:
