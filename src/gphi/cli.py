@@ -83,13 +83,11 @@ def _cmd_solutions(args):
 def _cmd_verify_theorem(args):
     from . import diophantine
 
-    rows = list(diophantine.oracle_comparison(args.limit))
-    records = [
-        {"n": n, "brute": diophantine.is_solution(n), "classified": not brute, "kind": cls.kind.value}
-        for n, brute, cls in rows
-        if brute != (cls.kind is not SolutionKind.NOT_SOLUTION)
-    ]
-    n_solutions = sum(brute for _, brute, _ in rows)
+    rows = [(n, brute, cls.kind is not SolutionKind.NOT_SOLUTION, cls.kind.value)
+            for n, brute, cls in diophantine.oracle_comparison(args.limit)]
+    records = [{"n": n, "brute": brute, "classified": classified, "kind": kind}
+               for n, brute, classified, kind in rows if brute != classified]
+    n_solutions = sum(brute for _, brute, _, _ in rows)
     notes = [f"solutions={n_solutions}", f"mismatches={len(records)}"]
     return records, (1 if records else 0), notes
 

@@ -6,7 +6,7 @@ classifier.  classify() goes the other way, matching n against the known
 solution shapes and then confirming every positive match against the
 equation, so a transcription bug turns into a loud error instead of a
 wrong answer.  classify_range() classifies whole sweeps from the family
-index and the exotic search, held to classify on a sample of each range.
+index and the search tree below, held to classify on a sample of each range.
 relaxed_search() solves 3*phi(q) = 2q + 2 on a search tree of prefixes of
 q's primes, held to a phi scan of [2, 2^21] in every run.
 
@@ -70,7 +70,8 @@ from .sieve import (
 MAX_EXOTIC_SEGMENT = 400_000_000
 
 # The exotic search triples p in int64 (3p - 1 in _exotic_segment), so no p
-# may exceed a third of int64's range; relaxed_search takes the same maximum.
+# may exceed a third of int64's range; relaxed_search takes the same maximum,
+# and classify_range takes it for limit // 2.
 MAX_SEARCH_VALUE = (2**63 - 1) // 3
 
 # Widest unit of the theorem oracle's m axis: a unit holds phi on at most
@@ -206,20 +207,21 @@ def classify_range(limit):
     """{n: classify(n)} for every n <= limit that classify calls a solution,
     in ascending order.
 
-    Family members come from the family index, exotic odd parts a*m + b
-    <= limit // 2 from exotic_prime_search to their largest p = 8m+7; that
-    search rests on the odd-m lemma of _exotic_segment, which the oracle
-    checks too.  Family odd parts are left out and the shapes are tried in
-    classify's order.  Every positive is re-confirmed against the equation,
-    and a sample of the range seeded by limit is checked against classify.
+    Family members come from the family index.  An exotic odd part a*m + b
+    <= limit // 2 has its companion q = 6m + 5 <= limit // 2, a hit of
+    _relaxed_tree(limit // 2) with (4q + 1)/3 = 8m + 7 prime, so no totient
+    is sieved (the tree's cube root fails at 0, so it runs from 2).  Family
+    odd parts are left out and the shapes are tried in classify's order.
+    Every positive is re-confirmed against the equation, and a sample of
+    the range seeded by limit is checked against classify.
     """
+    _check_natural(limit)
+    if (top := limit // 2) > MAX_SEARCH_VALUE:
+        raise SieveRangeError(f"limit {limit} needs the search tree to {top}, past the search maximum {MAX_SEARCH_VALUE}")
     # odd part -> (kind, least ell, exotic m); setdefault lets the families,
     # then the shapes in order, take precedence as they do in classify.
     odd_parts = {q: (kind, least, None) for q, (kind, least) in _FAMILY_BY_ODD_PART.items()}
-    top = max(limit, 0) // 2
-    if (hi := (4 * top + 1) // 3 + 1) > MAX_SEARCH_VALUE:
-        raise SieveRangeError(f"limit {limit} needs p below {hi}, past the search maximum {MAX_SEARCH_VALUE}")
-    hits = [w.m for w in exotic_prime_search(2, hi)] if top >= 2 else []
+    hits = [(q - 5) // 6 for q in _relaxed_tree(top)[0] if is_prime((4 * q + 1) // 3)] if top >= 2 else []
     for shape, (a, b) in _EXOTIC_SHAPES.items():
         for m in hits:  # an odd part above top gives no n <= limit below
             odd_parts.setdefault(a * m + b, (shape, 1, m))

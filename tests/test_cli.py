@@ -97,6 +97,11 @@ class TestSolutions:
         assert code == 0
         assert [r["n"] for r in records] == [4, 6, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48]
 
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_classify_limit_below_1_exits_2(self, capsys, limit):
+        code, out, err = run(capsys, "solutions", "--limit", limit, "--method", "classify")
+        assert (code, out, err) == (2, "", f"error: expected n >= 1, got {limit}\n")
+
 
 class TestVerifyTheorem:
     def test_desk_scale(self, capsys):
@@ -175,29 +180,52 @@ class TestVerifyTheorem:
         assert err == f"error: limit {10 ** 23} above the oracle maximum {diophantine.MAX_ORACLE_LIMIT}\n"
         assert diophantine.MAX_ORACLE_LIMIT < MAX_SIEVE_VALUE // 2
 
-    # The classifier builds no table: at 10^15 it asks the exotic search,
-    # stubbed here, for every p = 8m+7 that an odd part <= limit // 2 needs.
-    def test_classify_asks_the_exotic_search(self, capsys, monkeypatch):
+    # The classifier sieves no totient and runs no exotic search: at 10^15
+    # it takes its exotic m from the search tree to limit // 2, whose only
+    # exotic hits, m = 0 and 5, give family odd parts.
+    def test_classify_to_10_15_sieves_nothing(self, capsys, monkeypatch):
         limit = 10 ** 15
-        asked = []
-        monkeypatch.setattr(diophantine, "exotic_prime_search", lambda *a, **k: asked.append((a, k)) or [])
-        monkeypatch.setattr(sieve, "sieve_segment", lambda lo, hi: pytest.fail(f"sieved [{lo}, {hi})"))
+        for module in (sieve, diophantine):
+            for name in ("sieve_segment", "totient_progression", "primes_in_class"):
+                monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name}{a}"))
+        monkeypatch.setattr(diophantine, "exotic_prime_search", lambda *a, **k: pytest.fail(f"searched {a}"))
         code, out, err = run(capsys, "solutions", "--limit", str(limit), "--method", "classify")
         records, _ = json_records(out)
         assert (code, err) == (0, "")
-        assert asked == [((2, (4 * (limit // 2) + 1) // 3 + 1), {})]
         family_members = {q << ell for q, least in diophantine.FAMILIES.values()
                           for ell in range(least, limit.bit_length()) if q << ell <= limit}
         assert [r["n"] for r in records] == sorted(family_members)
 
-    # At 10^23 the exotic search would pass the int64 bound of its tripled
-    # values; the classifier refuses the limit by name before searching.
+    # At 10^23 the search tree would run to limit // 2, past the int64
+    # bound of its search maximum; the classifier refuses the limit by name
+    # before searching.
     def test_classify_limit_past_the_search_maximum_exits_2(self, capsys):
         code, out, err = run(capsys, "solutions", "--limit", str(10 ** 23), "--method", "classify")
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: limit {10 ** 23} ") and err.count("\n") == 1
         assert str(diophantine.MAX_SEARCH_VALUE) in err
+
+    # 2 * MAX_SEARCH_VALUE + 2 is the least limit whose half passes the
+    # search maximum; it is refused before the tree runs.
+    def test_first_classify_limit_past_the_search_maximum_exits_2(self, capsys, monkeypatch):
+        limit = 2 * diophantine.MAX_SEARCH_VALUE + 2
+        monkeypatch.setattr(diophantine, "_relaxed_tree", lambda top: pytest.fail(f"searched to {top}"))
+        code, out, err = run(capsys, "solutions", "--limit", str(limit), "--method", "classify")
+        assert (code, out) == (2, "")
+        assert err == (f"error: limit {limit} needs the search tree to {limit // 2}, "
+                       f"past the search maximum {diophantine.MAX_SEARCH_VALUE}\n")
+
+    # The oracle is wrong here, not the classifier: the record reports the
+    # two verdicts that disagree, the oracle's and the classifier's.
+    def test_mismatch_record_reports_both_verdicts(self, capsys, monkeypatch):
+        brute = diophantine.brute_force_solutions
+        monkeypatch.setattr(diophantine, "brute_force_solutions", lambda limit: sorted(brute(limit) + [9]))
+        code, out, _ = run(capsys, "verify-theorem", "--limit", "100")
+        records, summary = json_records(out)
+        assert code == summary["exit_code"] == 1
+        assert records == [{"n": 9, "brute": True, "classified": False, "kind": "not_solution"}]
+        assert summary["truncations"] == ["solutions=20", "mismatches=1"]
 
     # A MemoryError without text gets no dangling separator.
     def test_bare_memory_error_exits_2(self, capsys, monkeypatch):

@@ -315,8 +315,13 @@ class TestClassifyRange:
         assert list(classes) == sorted(classes)
 
     def test_agrees_with_classify_on_small_limits(self, scalar_classes):
-        for limit in range(-1, 65):
+        for limit in range(1, 65):
             assert classify_range(limit) == {n: c for n, c in scalar_classes.items() if n <= limit}, limit
+
+    @pytest.mark.parametrize("limit", [-1, 0])
+    def test_limit_below_1_is_refused(self, limit):
+        with pytest.raises(ValueError, match=f"expected n >= 1, got {limit}"):
+            classify_range(limit)
 
     @pytest.mark.parametrize("kind", list(FAMILIES))
     def test_agrees_with_classify_at_family_members(self, kind, scalar_classes):
@@ -357,12 +362,17 @@ class TestClassifyRange:
             classify_range(100)
 
     def test_a_search_that_misses_a_hit_is_caught(self, monkeypatch):
-        # Without the family index only the search gives the odd parts 35
-        # and 47 (m = 5); the scalar classify still finds 70 and 94.
+        # Without the family index only the search tree gives the odd parts
+        # 35 and 47 (its hit q = 35, m = 5); the scalar classify still finds
+        # 70 and 94.
         monkeypatch.setattr(diophantine, "_FAMILY_BY_ODD_PART", {})
-        search = diophantine.exotic_prime_search
-        monkeypatch.setattr(diophantine, "exotic_prime_search",
-                            lambda lo, hi: [w for w in search(lo, hi) if w.m != 5])
+        search = diophantine._relaxed_tree
+
+        def tree(limit):
+            hits, nodes, tried = search(limit)
+            return [q for q in hits if q != 35], nodes, tried
+
+        monkeypatch.setattr(diophantine, "_relaxed_tree", tree)
         with pytest.raises(InternalInconsistencyError, match="classify_range"):
             classify_range(100)
 
