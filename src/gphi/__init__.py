@@ -56,7 +56,6 @@ _BULK = {
             "classify_range",
             "exotic_prime_search",
             "relaxed_search",
-            "theorem_mismatches",
         ),
         "diophantine",
     ),

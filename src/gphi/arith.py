@@ -151,8 +151,9 @@ class Factorization:
 
 
 def _integer_root(m, k):
-    """floor(m ** (1/k)): isqrt for squares, else Newton's method from above."""
-    if k == 2:
+    """floor(m ** (1/k)) for m >= 0: isqrt for squares and for 0, else
+    Newton's method from above."""
+    if k == 2 or m == 0:
         return math.isqrt(m)
     x = 1 << -(-m.bit_length() // k)
     while (y := ((k - 1) * x + m // x ** (k - 1)) // k) < x:
@@ -249,8 +250,9 @@ def iterate_g(n, k_max, successors=None):
 
     Overflow is not an error: the orbit is truncated at the last value that
     fits the working width and the result is flagged accordingly.  A dict
-    passed as successors maps v to g(v): steps found there are not
-    recomputed, and every step computed that fits is added to it.
+    passed as successors maps v to g(v), or to None where g(v) overflows:
+    steps found there are not recomputed, and every step computed is added
+    to it.
     """
     _check_natural(n)
     if k_max < 0:
@@ -258,17 +260,17 @@ def iterate_g(n, k_max, successors=None):
     if successors is None:
         successors = {}
     values = [n]
-    truncated = False
     for _ in range(k_max):
         v = values[-1]
         if v not in successors:
             try:
                 successors[v] = g(v)
             except NaturalOverflowError:
-                truncated = True
-                break
+                successors[v] = None
+        if successors[v] is None:
+            return Orbit(tuple(values), True)
         values.append(successors[v])
-    return Orbit(tuple(values), truncated)
+    return Orbit(tuple(values), False)
 
 
 def v2(n):

@@ -73,8 +73,7 @@ def _cmd_solutions(args):
     elif args.method == "classify":
         records = [_classify_record(n, cls) for n, cls in diophantine.classify_range(args.limit).items()]
     else:
-        for n, brute, cls in diophantine.oracle_comparison(args.limit):
-            classified = cls.kind is not SolutionKind.NOT_SOLUTION
+        for n, brute, classified, cls in diophantine.oracle_comparison(args.limit):
             records.append({**_classify_record(n, cls), "brute": brute, "classified": classified})
         code = int(any(r["brute"] != r["classified"] for r in records))
     return records, code, []
@@ -83,12 +82,10 @@ def _cmd_solutions(args):
 def _cmd_verify_theorem(args):
     from . import diophantine
 
-    rows = [(n, brute, cls.kind is not SolutionKind.NOT_SOLUTION, cls.kind.value)
-            for n, brute, cls in diophantine.oracle_comparison(args.limit)]
-    records = [{"n": n, "brute": brute, "classified": classified, "kind": kind}
-               for n, brute, classified, kind in rows if brute != classified]
-    n_solutions = sum(brute for _, brute, _, _ in rows)
-    notes = [f"solutions={n_solutions}", f"mismatches={len(records)}"]
+    rows = list(diophantine.oracle_comparison(args.limit))
+    records = [{"n": n, "brute": brute, "classified": classified, "kind": cls.kind.value}
+               for n, brute, classified, cls in rows if brute != classified]
+    notes = [f"solutions={sum(brute for _, brute, _, _ in rows)}", f"mismatches={len(records)}"]
     return records, (1 if records else 0), notes
 
 

@@ -210,10 +210,9 @@ def classify_range(limit):
     Family members come from the family index.  An exotic odd part a*m + b
     <= limit // 2 has its companion q = 6m + 5 <= limit // 2, a hit of
     _relaxed_tree(limit // 2) with (4q + 1)/3 = 8m + 7 prime, so no totient
-    is sieved (the tree's cube root fails at 0, so it runs from 2).  Family
-    odd parts are left out and the shapes are tried in classify's order.
-    Every positive is re-confirmed against the equation, and a sample of
-    the range seeded by limit is checked against classify.
+    is sieved.  Family odd parts are left out and the shapes are tried in
+    classify's order.  Every positive is re-confirmed against the equation,
+    and a sample of the range seeded by limit is checked against classify.
     """
     _check_natural(limit)
     if (top := limit // 2) > MAX_SEARCH_VALUE:
@@ -221,7 +220,7 @@ def classify_range(limit):
     # odd part -> (kind, least ell, exotic m); setdefault lets the families,
     # then the shapes in order, take precedence as they do in classify.
     odd_parts = {q: (kind, least, None) for q, (kind, least) in _FAMILY_BY_ODD_PART.items()}
-    hits = [(q - 5) // 6 for q in _relaxed_tree(top)[0] if is_prime((4 * q + 1) // 3)] if top >= 2 else []
+    hits = [(q - 5) // 6 for q in _relaxed_tree(top)[0] if is_prime((4 * q + 1) // 3)]
     for shape, (a, b) in _EXOTIC_SHAPES.items():
         for m in hits:  # an odd part above top gives no n <= limit below
             odd_parts.setdefault(a * m + b, (shape, 1, m))
@@ -251,23 +250,14 @@ def classify_range(limit):
 
 def oracle_comparison(limit):
     """Sweep [1, limit] with the brute-force oracle and the range classifier,
-    yielding (n, brute verdict, classification) for every n either calls a
-    solution."""
+    yielding (n, brute verdict, classifier verdict, classification) for every
+    n either calls a solution, in ascending order; the two sides disagree on
+    n where the verdicts differ."""
     solutions = set(brute_force_solutions(limit))
-    classified = classify_range(limit)
-    for n in sorted(solutions | classified.keys()):
-        cls = classified.get(n, SolutionClass(SolutionKind.NOT_SOLUTION, v2(n)))
-        yield n, n in solutions, cls
-
-
-def theorem_mismatches(limit):
-    """Compare the brute-force oracle with the classifier over [1, limit].
-
-    Returns (mismatched n values, solution count).
-    """
-    rows = list(oracle_comparison(limit))
-    mismatches = [n for n, brute, cls in rows if brute != (cls.kind is not SolutionKind.NOT_SOLUTION)]
-    return mismatches, sum(brute for _, brute, _ in rows)
+    classes = classify_range(limit)
+    for n in sorted(solutions | classes.keys()):
+        cls = classes.get(n, SolutionClass(SolutionKind.NOT_SOLUTION, v2(n)))
+        yield n, n in solutions, n in classes, cls
 
 
 @dataclass(frozen=True)

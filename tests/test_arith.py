@@ -111,6 +111,14 @@ class TestFactorize:
         Factorization(((2, 1), (10 ** 12 + 39, 1)))
         assert proven[1:] == [2, 10 ** 12 + 39]
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_integer_root_is_the_floor(self, k):
+        for m in range(201):
+            root = 0
+            while (root + 1) ** k <= m:
+                root += 1
+            assert arith._integer_root(m, k) == root, (m, k)
+
     def test_factorization_validates_primes(self):
         with pytest.raises(ValueError):
             Factorization(((4, 1),))

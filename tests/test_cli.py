@@ -4,12 +4,13 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import gphi
-from gphi import arith, cli, diophantine, sieve
+from gphi import arith, cli, diophantine, orbits, sieve
 from gphi.cli import MAX_JOBS, main, resolve_jobs
 from gphi.diophantine import SolutionClass, SolutionKind
 from gphi.sieve import MAX_SIEVE_VALUE
@@ -32,6 +33,16 @@ def misclassify_70(monkeypatch):
     """The family index both classifiers read, broken to start family 35 at
     ell = 2, so the range and the scalar classifier both miss the solution 70."""
     monkeypatch.setitem(diophantine._FAMILY_BY_ODD_PART, 35, (SolutionKind.FAMILY_35, 2))
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """How often arith.factorize is called on each value; euler_phi, and so
+    g, look it up in arith on every call."""
+    calls = Counter()
+    factorize = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.update([n]) or factorize(n))
+    return calls
 
 
 def die(bounds):
@@ -482,6 +493,23 @@ class TestOrbit:
         assert code == 0
         assert len(calls) == len(set(calls)) == 64
 
+    # g(v) factors v before it finds that v + phi(v) overflows; the successor
+    # map records the overflow, so the note's walk does not factor v again.
+    # At 192 bits g(3 * 2^190) overflows; with the width cut to 20 bits the
+    # orbit of 3 stops at 804573.
+    @pytest.mark.parametrize("n, width, last", [(1 << 191, arith.NATURAL_MAX, 3 << 190), (3, (1 << 20) - 1, 804573)])
+    def test_factors_an_overflowing_value_once(self, capsys, monkeypatch, factorize_calls, n, width, last):
+        monkeypatch.setattr(arith, "NATURAL_MAX", width)
+        orbit = arith.iterate_g(n, 64)
+        expected = [cli._relation_record(rel) for rel in orbits.detect_relations(n, 64, 2)]
+        factorize_calls.clear()
+        code, out, _ = run(capsys, "orbit", "--n", str(n), "--kmax", "64", "--rmax", "2")
+        records, summary = json_records(out)
+        assert orbit.truncated and orbit.values[-1] == last
+        assert (code, records) == (0, expected)
+        assert summary["truncations"] == [f"orbit truncated at k={orbit.last_valid_k} (width limit)"]
+        assert factorize_calls == Counter(orbit.values)
+
     def test_truncation_note(self, capsys):
         code, out, _ = run(capsys, "orbit", "--n", str(1 << 191), "--kmax", "8", "--rmax", "2")
         _, summary = json_records(out)
@@ -515,6 +543,20 @@ class TestScanOrbits:
         assert code == 0
         hits = {r["n"] for r in records if r["r"] == 9 and r["multiplier"] == 9}
         assert {130, 170, 234, 260, 266} <= hits
+
+    # With the width cut to 20 bits, orbits of n <= 40 merge into values
+    # whose g overflows, 804573 and 786432 among them, each reached from ten
+    # n: the successor map records each overflow, so no value is factored
+    # twice, and the relations are those of orbits walked one by one.
+    def test_factors_each_overflowing_value_once(self, capsys, monkeypatch, factorize_calls):
+        monkeypatch.setattr(arith, "NATURAL_MAX", (1 << 20) - 1)
+        expected = [cli._relation_record(rel) for n in range(2, 41) for rel in orbits.detect_relations(n, 64, 2)]
+        factorize_calls.clear()
+        code, out, _ = run(capsys, "scan-orbits", "--limit", "40", "--kmax", "64", "--rmax", "2")
+        records, summary = json_records(out)
+        assert (code, records, summary["truncations"]) == (0, expected, [])
+        assert {804573, 786432} <= factorize_calls.keys()
+        assert max(factorize_calls.values()) == 1
 
     def test_jobs_is_echoed_but_changes_nothing(self, capsys):
         _, out1, _ = run(capsys, "scan-orbits", "--limit", "60", "--jobs", "1")

@@ -30,8 +30,8 @@ from gphi.diophantine import (
     exotic_prime_search,
     family_members,
     is_solution,
+    oracle_comparison,
     relaxed_search,
-    theorem_mismatches,
 )
 from gphi.sieve import (
     SearchCheckpoint,
@@ -277,15 +277,21 @@ class TestClassify:
         assert classify(q << least).kind is kind
         assert classify(q << (least - 1)).kind is SolutionKind.NOT_SOLUTION
 
+    # 70 is dropped by the oracle, then by the range classifier: the row
+    # carries the verdict of each side, and every other row agrees.
     def test_mismatch_of_either_side_is_reported(self, monkeypatch):
-        brute = diophantine.brute_force_solutions
-        monkeypatch.setattr(diophantine, "brute_force_solutions", lambda limit: [n for n in brute(limit) if n != 70])
-        assert theorem_mismatches(100) == ([70], 18)
+        brute, ranged = diophantine.brute_force_solutions, diophantine.classify_range
+        expected = {n: (n, True, True, classify(n)) for n in SOLUTIONS_BELOW_100}
+        with monkeypatch.context() as patch:
+            patch.setattr(diophantine, "brute_force_solutions", lambda limit: [n for n in brute(limit) if n != 70])
+            assert list(oracle_comparison(100)) == list({**expected, 70: (70, False, True, classify(70))}.values())
+        monkeypatch.setattr(diophantine, "classify_range", lambda limit: {n: c for n, c in ranged(limit).items() if n != 70})
+        assert list(oracle_comparison(100)) == list({**expected, 70: (70, True, False, SolutionClass(SolutionKind.NOT_SOLUTION, 1))}.values())
 
     def test_equivalence_with_oracle_desk_scale(self):
-        mismatches, count = theorem_mismatches(20000)
-        assert mismatches == []
-        assert count == len([n for n in range(1, 20001) if classify(n).kind is not SolutionKind.NOT_SOLUTION])
+        rows = list(oracle_comparison(20000))
+        assert all(brute == classified for _, brute, classified, _ in rows)
+        assert len(rows) == len([n for n in range(1, 20001) if classify(n).kind is not SolutionKind.NOT_SOLUTION])
 
     def test_odd_numbers_never_classify(self):
         for n in range(1, 500, 2):
@@ -825,6 +831,10 @@ class TestRelaxedTree:
         assert scanned == [5, 35, 1295, 1679615]
         for limit in [*range(1, 3001), 10 ** 4, 10 ** 5, 2 * 10 ** 6, 10 ** 7]:
             assert diophantine._relaxed_tree(limit)[0] == [n for n in scanned if n <= limit], limit
+
+    # classify_range(1) searches the tree to 0: its root alone, with no base primes.
+    def test_limit_0_visits_the_root_only(self):
+        assert diophantine._relaxed_tree(0) == ([], 1, 0)
 
     # Prefixes visited and primes taken by the three-or-more loops.  The
     # node counts are those of an earlier prototype of the same tree (also

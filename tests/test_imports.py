@@ -101,8 +101,7 @@ EXPORTS = {
     "equation": ("InternalInconsistencyError", "ProofTrace", "SolutionKind", "TraceCase",
                  "case_trace", "family_members", "is_solution"),
     "diophantine": ("ExoticWitness", "SolutionClass", "brute_force_solutions", "classify",
-                    "classify_range", "exotic_prime_search", "relaxed_search",
-                    "theorem_mismatches"),
+                    "classify_range", "exotic_prime_search", "relaxed_search"),
     "orbits": ("OrbitRelation", "Persistence", "PersistenceResult", "detect_relations",
                "doubling_persistence", "reduce_to_diophantine", "scan_orbits"),
     "sieve": ("SearchCheckpoint", "SieveSegment", "base_primes", "primes_in_class",
@@ -187,3 +186,24 @@ def test_the_first_index_rule_is_spelled_once():
                         inverting.add(f"{module.__name__}.{node.name}")
     assert inverting == {"gphi.sieve._first_index", "gphi.sieve._inverses"}
     assert gphi.diophantine._first_index is gphi.sieve._first_index
+
+
+# Whether the oracle and the classifier agree on n is decided once, in
+# diophantine.oracle_comparison, which yields both verdicts: no handler of
+# cli tells a solution by its kind.  Only the --kind choices of build_parser
+# name NOT_SOLUTION, to leave it out.
+def test_the_oracle_comparison_has_one_owner():
+    import ast
+
+    import gphi.cli
+    import gphi.diophantine
+
+    def reads(node):
+        return [a for a in ast.walk(node) if isinstance(a, ast.Attribute) and a.attr == "NOT_SOLUTION"]
+
+    tree = ast.parse(inspect.getsource(gphi.cli))
+    parser = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "build_parser")
+    kind, = (c for c in ast.walk(parser) if isinstance(c, ast.Call) and [ast.unparse(a) for a in c.args] == ["'--kind'"])
+    assert len(reads(kind)) == 1
+    assert reads(tree) == reads(kind)
+    assert not hasattr(gphi.diophantine, "theorem_mismatches")

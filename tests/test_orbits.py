@@ -173,8 +173,8 @@ class TestSuccessorMap:
         shared = iterate_g(n, 10, successors=successors)
         assert shared == plain
         top = plain.values[-1]
-        assert top not in successors  # g(top) overflows and is never stored
-        assert successors == {v: w for v, w in zip(plain.values, plain.values[1:])}
+        # g(top) overflows and is stored as None
+        assert successors == {**dict(zip(plain.values, plain.values[1:])), top: None}
         assert iterate_g(n, 10, successors=successors) == plain
 
     def test_shared_map_gives_the_same_relations(self):
