@@ -90,26 +90,19 @@ def _cmd_verify_theorem(args):
 
 
 def _cmd_search_exotic(args):
-    from concurrent.futures import BrokenExecutor
-
     from . import diophantine
 
     def progress(seg_lo, seg_hi, seg_hits):
         print(f"segment [{seg_lo}, {seg_hi}) done, hits={seg_hits}", file=sys.stderr)
 
-    try:
-        witnesses = diophantine.exotic_prime_search(
-            args.lo,
-            args.hi,
-            segment_size=args.segment_size,
-            jobs=args.jobs,
-            checkpoint_path=args.checkpoint,
-            progress=progress if args.progress else None,
-        )
-    except BrokenExecutor as exc:  # an OSError exits 2 with its one line
-        raise ChildProcessError(
-            "a worker process died; a --checkpoint keeps the segments finished before it"
-        ) from exc
+    witnesses = diophantine.exotic_prime_search(
+        args.lo,
+        args.hi,
+        segment_size=args.segment_size,
+        jobs=args.jobs,
+        checkpoint_path=args.checkpoint,
+        progress=progress if args.progress else None,
+    )
     records = [{"m": w.m, "p": w.p, "q": w.q} for w in witnesses]
     return records, 0, []
 

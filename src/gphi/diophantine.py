@@ -21,7 +21,7 @@ import bisect
 import math
 import os
 import random
-from contextlib import nullcontext
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
 
@@ -343,14 +343,53 @@ def _exotic_segment(bounds):
     return hits + ((p[phi == (p + 1) // 2] - 7) // 8).tolist()
 
 
-def _pool_segments(pool, segments, window):
-    """(bounds, hits) of each segment in order, read lazily, at most window in
-    flight, each run by _exotic_segment."""
-    pending = [(b, pool.submit(_exotic_segment, b)) for b in islice(segments, window)]
-    while pending:
-        bounds, future = pending.pop(0)
-        yield bounds, future.result()
-        pending += [(b, pool.submit(_exotic_segment, b)) for b in islice(segments, 1)]
+def _segment_results(segments, jobs):
+    """(bounds, hits) of each segment in order, each run by _exotic_segment:
+    in this process for jobs == 1, else by a process pool of jobs workers,
+    opened here and fed lazily, at most 4 * jobs segments in flight.  A
+    worker that dies is a ChildProcessError; closing the stream shuts the
+    pool down."""
+    if jobs == 1:
+        for bounds in segments:
+            yield bounds, _exotic_segment(bounds)
+        return
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # only a search with a pool loads it
+
+    try:
+        with ProcessPoolExecutor(jobs) as pool:
+            pending = [(b, pool.submit(_exotic_segment, b)) for b in islice(segments, 4 * jobs)]
+            while pending:
+                bounds, future = pending.pop(0)
+                yield bounds, future.result()
+                pending += [(b, pool.submit(_exotic_segment, b)) for b in islice(segments, 1)]
+    except BrokenExecutor as exc:  # an OSError: the CLI prints its one line and exits 2
+        raise ChildProcessError("a worker process died; a --checkpoint keeps the segments finished before it") from exc
+
+
+def _resume(path, search_id, lo, hi, segment_size):
+    """(start, hits) of the search search_id on [lo, hi) from the checkpoint
+    file at path, or (lo, []) when there is none.  Before any segment is
+    sieved it refuses a path whose directory cannot take the file, then a
+    checkpoint of another search, progress that is not a segment end of
+    [lo, hi), and hits outside the finished range or failing the condition;
+    each message names the file."""
+    if path is None:
+        return lo, []
+    directory = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
+        raise ValueError(f"checkpoint {path}: {directory} is not a writable directory")
+    if not os.path.exists(path):
+        return lo, []
+    cp = read_checkpoint(path)
+    if cp.search_id != search_id:
+        raise CheckpointMismatchError(f"checkpoint file {path} is for {cp.search_id!r}, not {search_id!r}")
+    done = cp.last_completed_hi
+    if not lo <= done <= hi or (done != hi and (done - lo) % segment_size):
+        raise CheckpointMismatchError(f"checkpoint file {path}: progress {done} is not a segment end of [{lo}, {hi})")
+    for m in cp.hits:
+        if not (lo <= 8 * m + 7 < done and _is_exotic(m)):
+            raise CheckpointMismatchError(f"checkpoint file {path}: hit m={m} is not a hit in [{lo}, {done})")
+    return done, list(cp.hits)
 
 
 def exotic_prime_search(
@@ -369,10 +408,11 @@ def exotic_prime_search(
     11 mod 12, that pass a ratio lemma on phi(s)/s, s the part of q made of
     the primes 5..251 (stated and proven in _exotic_segment).  Each
     segment's kernels extend the cache of base_primes, in whichever process
-    runs it, to their own roots.  A pool, started only for jobs > 1,
-    is fed segments lazily and its results merge in ascending range order;
-    a checkpoint file, written after each segment and before
-    progress(seg_lo, seg_hi, seg_hits), makes the search resumable.
+    runs it, to their own roots: _segment_results runs them, in a pool for
+    jobs > 1, in ascending range order.  A checkpoint file, read by _resume,
+    written after each segment and before progress(seg_lo, seg_hi,
+    seg_hits), makes the search resumable.  The stream of results is closed
+    on every exit, so an error in either call shuts the pool down first.
     """
     if not 2 <= lo < hi:
         raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi})")
@@ -387,30 +427,9 @@ def exotic_prime_search(
     if isinstance(jobs, bool) or not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be an integer from 1 to {MAX_JOBS}, got {jobs!r}")
     search_id = f"exotic:{lo}:{hi}:{segment_size}"
-    if checkpoint_path is not None:
-        _check_checkpoint_dir(checkpoint_path)
-    start = lo
-    hits = []
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        cp = read_checkpoint(checkpoint_path)
-        if cp.search_id != search_id:
-            raise CheckpointMismatchError(
-                f"checkpoint file {checkpoint_path} is for {cp.search_id!r}, not {search_id!r}"
-            )
-        _check_resume(checkpoint_path, cp, lo, hi, segment_size)
-        start = cp.last_completed_hi
-        hits = list(cp.hits)
+    start, hits = _resume(checkpoint_path, search_id, lo, hi, segment_size)
     segments = ((a, min(a + segment_size, hi)) for a in range(start, hi, segment_size))
-    pool = None
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a search with a pool loads it
-
-        pool = ProcessPoolExecutor(jobs)
-    with pool or nullcontext():
-        if pool:
-            results = _pool_segments(pool, segments, 4 * jobs)
-        else:
-            results = ((bounds, _exotic_segment(bounds)) for bounds in segments)
+    with closing(_segment_results(segments, jobs)) as results:
         for (seg_lo, seg_hi), seg_hits in results:
             hits.extend(seg_hits)
             if checkpoint_path is not None:
@@ -418,28 +437,6 @@ def exotic_prime_search(
             if progress is not None:
                 progress(seg_lo, seg_hi, seg_hits)
     return [ExoticWitness(m, 8 * m + 7, 6 * m + 5) for m in hits]
-
-
-def _check_checkpoint_dir(path):
-    """Refuse a checkpoint path whose directory cannot take the file, before
-    any segment is sieved."""
-    directory = os.path.dirname(os.path.abspath(path))
-    if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
-        raise ValueError(f"checkpoint {path}: {directory} is not a writable directory")
-
-
-def _check_resume(path, cp, lo, hi, segment_size):
-    """Reject the checkpoint cp, read from path, whose progress is not a
-    segment end of [lo, hi), or whose hits lie outside the finished range or
-    fail the condition; each message names the file."""
-    done = cp.last_completed_hi
-    if not lo <= done <= hi or (done != hi and (done - lo) % segment_size):
-        raise CheckpointMismatchError(
-            f"checkpoint file {path}: progress {done} is not a segment end of [{lo}, {hi})"
-        )
-    for m in cp.hits:
-        if not (lo <= 8 * m + 7 < done and _is_exotic(m)):
-            raise CheckpointMismatchError(f"checkpoint file {path}: hit m={m} is not a hit in [{lo}, {done})")
 
 
 # The two-more close of _relaxed_tree tests the primes s in (P, sqrt(X/a)]

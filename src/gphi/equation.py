@@ -61,10 +61,13 @@ def _is_exotic(m):
 def family_members(kind, ell_max, m=None):
     """Members 2^ell * q of one solution family, from its least ell up to
     ell_max, each re-confirmed as a solution (so an exotic kind's m must
-    satisfy _is_exotic); ValueError first if one passes NATURAL_BITS bits."""
+    satisfy _is_exotic, and only an exotic kind takes m); ValueError first
+    if one passes NATURAL_BITS bits."""
     if ell_max < 1:
         raise ValueError("ell_max must be positive")
     if kind in FAMILIES:
+        if m is not None:
+            raise ValueError(f"m is a parameter of the exotic kinds only, not of {kind.value}")
         q, start = FAMILIES[kind]
     elif kind in _EXOTIC_SHAPES:
         if m is None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gphi import sieve
+from gphi import diophantine, sieve
 
 
 @pytest.fixture
@@ -15,3 +15,19 @@ def cold_base_primes(monkeypatch):
 
     empty()
     return empty
+
+
+@pytest.fixture
+def failing_checkpoint_write(monkeypatch):
+    """diophantine.write_checkpoint, made to raise OSError("disk full") on
+    its second call, as a full disk would after the first segment."""
+    write = diophantine.write_checkpoint
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write(*args)
+
+    monkeypatch.setattr(diophantine, "write_checkpoint", failing)

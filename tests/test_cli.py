@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -309,6 +310,16 @@ class TestSearchExotic:
         assert out == ""
         assert err.startswith("error: a worker process died") and err.count("\n") == 1
 
+    # A checkpoint write that fails in the middle of a pooled search exits 2
+    # with its one line, after the pool has shut down.
+    def test_failed_checkpoint_write_with_a_pool_is_one_error_line(self, capsys, tmp_path, failing_checkpoint_write):
+        path = tmp_path / "x.ckpt"
+        code, out, err = run(capsys, "search-exotic", "--from", "2", "--to", str(2 + 16 * 2**17),
+                             "--segment-size", str(2**17), "--jobs", "2", "--checkpoint", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: disk full\n"
+        assert multiprocessing.active_children() == []
+
     # Refused before the base primes or any segment: a broken check would
     # reach the failing stand-ins below instead of naming the path.
     def test_unwritable_checkpoint_directory_is_usage_error(self, capsys, tmp_path, monkeypatch):
@@ -605,6 +616,14 @@ class TestFamilies:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "192-bit width" in err and err.count("\n") == 1
         assert time.monotonic() - started < 1
+
+    # --m belongs to the exotic kinds: with the named families, all or one,
+    # it is refused before any member is built.
+    @pytest.mark.parametrize("kind", [[], ["--kind", "family_3"]], ids=["all", "family_3"])
+    def test_m_with_a_named_kind_is_parameter_error(self, capsys, kind):
+        code, out, err = run(capsys, "families", *kind, "--m", "5", "--max-exponent", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "exotic kinds only" in err and err.count("\n") == 1
 
     # m = 1 is not exotic: 15 is not prime
     @pytest.mark.parametrize("kind", ["exotic_a", "exotic_b"])

@@ -662,6 +662,14 @@ class TestExoticSearch:
         assert read_checkpoint(path).last_completed_hi == 2000
         assert exotic_prime_search(2, 2000, segment_size=64, checkpoint_path=path) == first
 
+    # A failed checkpoint write leaves a pooled search with its pool shut
+    # down, though the exception's traceback still holds the search's frame.
+    def test_an_error_in_the_loop_stops_the_pool(self, tmp_path, failing_checkpoint_write):
+        with pytest.raises(OSError, match="disk full") as info:
+            exotic_prime_search(2, 2 + 16 * 2**17, segment_size=2**17, jobs=2, checkpoint_path=tmp_path / "x.ckpt")
+        assert multiprocessing.active_children() == []  # info still holds the traceback
+        assert read_checkpoint(tmp_path / "x.ckpt").last_completed_hi == 2 + 2**17
+
     def test_bad_range(self):
         with pytest.raises(ValueError):
             exotic_prime_search(10, 10)
@@ -924,6 +932,11 @@ class TestFamilyMembers:
             family_members(SolutionKind.EXOTIC_A, 3)
         assert family_members(SolutionKind.EXOTIC_A, 3, m=5) == [94, 188, 376]
         assert family_members(SolutionKind.EXOTIC_B, 3, m=0) == [10, 20, 40]
+
+    @pytest.mark.parametrize("kind", list(FAMILIES))
+    def test_named_kinds_refuse_m(self, kind):
+        with pytest.raises(ValueError, match="exotic kinds only"):
+            family_members(kind, 2, m=5)
 
     def test_exotic_kinds_need_an_exotic_m(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,8 @@ def test_serial_bulk_commands_load_no_pool(argv):
     assert "numpy" in modules and "gphi.diophantine" in modules
     assert "concurrent.futures.process" not in modules
     assert under(modules, "multiprocessing") == []
+    if argv[0] == "search-exotic":  # the pool's errors are translated where it is opened
+        assert under(modules, "concurrent") == []
 
 
 # gphi calls no BLAS routine: numpy starts with one OpenBLAS thread, not
@@ -207,3 +209,19 @@ def test_the_oracle_comparison_has_one_owner():
     assert len(reads(kind)) == 1
     assert reads(tree) == reads(kind)
     assert not hasattr(gphi.diophantine, "theorem_mismatches")
+
+
+# The pool of search-exotic is opened, fed and translated on failure in
+# diophantine._segment_results: the CLI imports nothing from concurrent.
+def test_the_cli_knows_no_pool():
+    import ast
+
+    import gphi.cli
+
+    imported = []
+    for node in ast.walk(ast.parse(inspect.getsource(gphi.cli))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or ".")
+    assert [name for name in imported if name.split(".")[0] == "concurrent"] == []
