@@ -3,7 +3,7 @@ and the totient-increment map g(n) = n + phi(n) with its iteration.
 
 Everything here is a pure function of its inputs.  The randomized stage of
 factorization seeds its generator from the number being factored, so results
-are reproducible and concurrent calls never contend.
+are reproducible and no two calls share generator state.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ CSV mode sends the summary to stderr.
 
 Exit codes: 0 success, 1 verification failure or search inconsistency,
 2 usage or parameter error, including a limit past a declared maximum or whose
-tables cannot be allocated, and a search worker that died (the out-of-memory
-killer is the likely cause).
+tables cannot be allocated.
 
 Only the handlers that sieve (solutions, verify-theorem, search-exotic and
 search-relaxed) import diophantine and sieve, and with them numpy; the
@@ -34,7 +33,7 @@ JOBS_ENV_VAR = "GPHI_JOBS"
 
 
 def resolve_jobs(jobs):
-    """Worker count from --jobs, else GPHI_JOBS, else 1; ValueError unless it
+    """Job count from --jobs, else GPHI_JOBS, else 1; ValueError unless it
     is an integer in [1, MAX_JOBS]."""
     source = "--jobs" if jobs is not None else JOBS_ENV_VAR
     raw = jobs if jobs is not None else os.environ.get(JOBS_ENV_VAR) or "1"
@@ -179,7 +178,7 @@ def build_parser():
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
     p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
-    p.add_argument("--jobs", default=None)
+    p.add_argument("--jobs", default=None, help="validated and echoed; the search runs in one process")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--progress", action="store_true", help="per-segment progress on stderr")
     p.set_defaults(handler=_cmd_search_exotic)

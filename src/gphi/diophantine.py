@@ -21,9 +21,7 @@ import bisect
 import math
 import os
 import random
-from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -343,29 +341,6 @@ def _exotic_segment(bounds):
     return hits + ((p[phi == (p + 1) // 2] - 7) // 8).tolist()
 
 
-def _segment_results(segments, jobs):
-    """(bounds, hits) of each segment in order, each run by _exotic_segment:
-    in this process for jobs == 1, else by a process pool of jobs workers,
-    opened here and fed lazily, at most 4 * jobs segments in flight.  A
-    worker that dies is a ChildProcessError; closing the stream shuts the
-    pool down."""
-    if jobs == 1:
-        for bounds in segments:
-            yield bounds, _exotic_segment(bounds)
-        return
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # only a search with a pool loads it
-
-    try:
-        with ProcessPoolExecutor(jobs) as pool:
-            pending = [(b, pool.submit(_exotic_segment, b)) for b in islice(segments, 4 * jobs)]
-            while pending:
-                bounds, future = pending.pop(0)
-                yield bounds, future.result()
-                pending += [(b, pool.submit(_exotic_segment, b)) for b in islice(segments, 1)]
-    except BrokenExecutor as exc:  # an OSError: the CLI prints its one line and exits 2
-        raise ChildProcessError("a worker process died; a --checkpoint keeps the segments finished before it") from exc
-
-
 def _resume(path, search_id, lo, hi, segment_size):
     """(start, hits) of the search search_id on [lo, hi) from the checkpoint
     file at path, or (lo, []) when there is none.  Before any segment is
@@ -406,13 +381,12 @@ def exotic_prime_search(
     (hits other than m = 0 have odd m, see _exotic_segment) and phi is
     sieved at those of their companions q = (3p-1)/4, along the progression
     11 mod 12, that pass a ratio lemma on phi(s)/s, s the part of q made of
-    the primes 5..251 (stated and proven in _exotic_segment).  Each
-    segment's kernels extend the cache of base_primes, in whichever process
-    runs it, to their own roots: _segment_results runs them, in a pool for
-    jobs > 1, in ascending range order.  A checkpoint file, read by _resume,
-    written after each segment and before progress(seg_lo, seg_hi,
-    seg_hits), makes the search resumable.  The stream of results is closed
-    on every exit, so an error in either call shuts the pool down first.
+    the primes 5..251 (stated and proven in _exotic_segment).  The segments
+    run in this process, in ascending range order, and their kernels extend
+    the cache of base_primes to their own roots.  A checkpoint file, read by
+    _resume, written after each segment and before progress(seg_lo, seg_hi,
+    seg_hits), makes the search resumable.  jobs is validated but changes
+    nothing.
     """
     if not 2 <= lo < hi:
         raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi})")
@@ -428,14 +402,14 @@ def exotic_prime_search(
         raise ValueError(f"jobs must be an integer from 1 to {MAX_JOBS}, got {jobs!r}")
     search_id = f"exotic:{lo}:{hi}:{segment_size}"
     start, hits = _resume(checkpoint_path, search_id, lo, hi, segment_size)
-    segments = ((a, min(a + segment_size, hi)) for a in range(start, hi, segment_size))
-    with closing(_segment_results(segments, jobs)) as results:
-        for (seg_lo, seg_hi), seg_hits in results:
-            hits.extend(seg_hits)
-            if checkpoint_path is not None:
-                write_checkpoint(checkpoint_path, SearchCheckpoint(search_id, seg_hi, tuple(hits)))
-            if progress is not None:
-                progress(seg_lo, seg_hi, seg_hits)
+    for seg_lo in range(start, hi, segment_size):
+        seg_hi = min(seg_lo + segment_size, hi)
+        seg_hits = _exotic_segment((seg_lo, seg_hi))
+        hits.extend(seg_hits)
+        if checkpoint_path is not None:
+            write_checkpoint(checkpoint_path, SearchCheckpoint(search_id, seg_hi, tuple(hits)))
+        if progress is not None:
+            progress(seg_lo, seg_hi, seg_hits)
     return [ExoticWitness(m, 8 * m + 7, 6 * m + 5) for m in hits]
 
 

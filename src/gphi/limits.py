@@ -4,5 +4,6 @@ without it; sieve and diophantine re-export the names they use."""
 
 DEFAULT_SEGMENT_SIZE = 1 << 22
 
-# exotic_prime_search's pool starts all its workers at once: the count is capped.
+# Largest job count that --jobs, GPHI_JOBS and exotic_prime_search accept.  Every
+# search runs in one process, so the count is only validated and echoed.
 MAX_JOBS = 256

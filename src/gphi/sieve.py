@@ -2,8 +2,9 @@
 range is the modulus-1 case), primes in arithmetic progressions, and
 line-based checkpoints for long searches.
 
-Segments are independent work units; callers that parallelize must merge
-results in ascending range order so output stays deterministic.
+A segment's result depends only on its bounds, so a search that runs its
+segments in ascending range order finds the same hits however it splits
+its range.
 """
 
 from __future__ import annotations

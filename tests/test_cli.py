@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -44,11 +43,6 @@ def factorize_calls(monkeypatch):
     factorize = arith.factorize
     monkeypatch.setattr(arith, "factorize", lambda n: calls.update([n]) or factorize(n))
     return calls
-
-
-def die(bounds):
-    """A segment whose worker process dies at once, as under the OOM killer."""
-    os._exit(9)
 
 
 def strip_timing(out):
@@ -255,15 +249,20 @@ class TestSearchExotic:
         assert code == 0
         assert records == [{"m": 0, "p": 7, "q": 5}, {"m": 5, "p": 47, "q": 35}]
 
-    def test_output_independent_of_jobs(self, capsys):
-        _, out1, _ = run(capsys, "search-exotic", "--from", "2", "--to", "1000000", "--jobs", "1")
-        _, out4, _ = run(capsys, "search-exotic", "--from", "2", "--to", "1000000", "--jobs", "4")
-        records1, summary1 = strip_timing(out1)
-        records4, summary4 = strip_timing(out4)
-        assert records1 == records4
-        summary1["parameters"].pop("jobs")
-        summary4["parameters"].pop("jobs")
-        assert summary1 == summary4
+    # The job count is echoed and changes nothing else: the same records,
+    # progress lines and checkpoint bytes with every --jobs.
+    def test_output_independent_of_jobs(self, capsys, tmp_path):
+        runs = []
+        for jobs in ("1", "2", "4"):
+            path = tmp_path / f"jobs-{jobs}.ckpt"
+            code, out, err = run(capsys, "search-exotic", "--from", "2", "--to", "2000000", "--segment-size", "131072",
+                                 "--progress", "--checkpoint", str(path), "--jobs", jobs)
+            records, summary = strip_timing(out)
+            assert summary["parameters"].pop("jobs") == int(jobs)
+            summary["parameters"].pop("checkpoint")
+            runs.append((code, records, summary, err, path.read_bytes()))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][3].count("\n") == 16
 
     def test_checkpoint_written(self, capsys, tmp_path):
         path = tmp_path / "cp.txt"
@@ -303,22 +302,14 @@ class TestSearchExotic:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_dead_worker_is_one_error_line(self, capsys, monkeypatch):
-        monkeypatch.setattr(diophantine, "_exotic_segment", die)
-        code, out, err = run(capsys, "search-exotic", "--from", "2", "--to", "1000000", "--jobs", "2")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: a worker process died") and err.count("\n") == 1
-
-    # A checkpoint write that fails in the middle of a pooled search exits 2
-    # with its one line, after the pool has shut down.
+    # A checkpoint write that fails in the middle of a search exits 2 with
+    # its one line.
     def test_failed_checkpoint_write_with_a_pool_is_one_error_line(self, capsys, tmp_path, failing_checkpoint_write):
         path = tmp_path / "x.ckpt"
         code, out, err = run(capsys, "search-exotic", "--from", "2", "--to", str(2 + 16 * 2**17),
-                             "--segment-size", str(2**17), "--jobs", "2", "--checkpoint", str(path))
+                             "--segment-size", str(2**17), "--checkpoint", str(path))
         assert (code, out) == (2, "")
         assert err == "error: disk full\n"
-        assert multiprocessing.active_children() == []
 
     # Refused before the base primes or any segment: a broken check would
     # reach the failing stand-ins below instead of naming the path.
@@ -410,7 +401,7 @@ def finished_segments(path, segment_size):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process groups from /proc")
 class TestCrashResume:
     """search-exotic --checkpoint killed by SIGKILL with its whole process
-    group, pool workers included: before its first checkpoint, and once the
+    group, with --jobs 1 and 2: before its first checkpoint, and once the
     checkpoint shows 10 and 100 finished segments.  Run again, it prints the
     stdout, minus elapsed_ms, and leaves the checkpoint bytes of a run that
     was never killed."""

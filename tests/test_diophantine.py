@@ -1,10 +1,8 @@
 import math
-import multiprocessing
-import os
 import re
 import time
 import tracemalloc
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -67,21 +65,18 @@ def lemma_admits(q, q_min, q_max):
 
 
 _SIEVE_CLASS = sieve._sieve_class
-_EXOTIC_SEGMENT = diophantine._exotic_segment
-_BUILD_LOG = "GPHI_TEST_BUILD_LOG"  # where spawned workers log their builds
 
 
 def logging_builds(log):
-    """sieve._sieve_class, but each base-prime build window appends
-    "<pid> <lo> <hi>" to log.  A build window is a modulus-1 class sieve
+    """sieve._sieve_class, but each base-prime build window appends its
+    (lo, hi) to the list log.  A build window is a modulus-1 class sieve
     outside another one (the sieve of a window may first extend the cache
     to its own root, and those nested values are not logged)."""
     depth = [0]
 
     def spy(lo, hi, residue, modulus):
         if modulus == 1 and not depth[0]:
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {lo} {hi}\n")
+            log.append((lo, hi))
         depth[0] += modulus == 1
         try:
             return _SIEVE_CLASS(lo, hi, residue, modulus)
@@ -89,31 +84,6 @@ def logging_builds(log):
             depth[0] -= modulus == 1
 
     return spy
-
-
-def exotic_segment_logging_builds(bounds):
-    """diophantine._exotic_segment in a spawned pool worker, which logs its
-    builds to the file named by _BUILD_LOG."""
-    if sieve._sieve_class is _SIEVE_CLASS:
-        sieve._sieve_class = logging_builds(os.environ[_BUILD_LOG])
-    return _EXOTIC_SEGMENT(bounds)
-
-
-def build_windows(log):
-    """pid -> the [lo, hi) windows of that process's base-prime builds, in order."""
-    windows = defaultdict(list)
-    for line in log.read_text().splitlines():
-        pid, lo, hi = map(int, line.split())
-        windows[pid].append((lo, hi))
-    return windows
-
-
-def assert_each_value_sieved_once(windows):
-    """Each process's build windows tile [2, top) in order: every base-prime
-    value is sieved once, from a cold cache up."""
-    for pid, wins in windows.items():
-        assert [lo for lo, _ in wins] == [2] + [hi for _, hi in wins[:-1]], pid
-        assert all(lo < hi for lo, hi in wins), pid
 
 
 class StopSearch(Exception):
@@ -447,9 +417,9 @@ class TestExoticSearch:
             assert euler_phi(w.q) == 4 * w.m + 4
             assert euler_phi((3 * w.p - 1) // 4) == (w.p + 1) // 2
 
-    # Many segments through the pool: the same hits, per-segment progress and
-    # final checkpoint bytes serially, in parallel, and resumed in parallel
-    # after a progress callback stopped the search at its fifth segment.
+    # Many segments: the same hits, per-segment progress and final
+    # checkpoint bytes with jobs 1 and 2, and resumed with jobs 2 after a
+    # progress callback stopped the search at its fifth segment.
     def test_deterministic_across_jobs(self, tmp_path):
         events = {}
 
@@ -462,18 +432,18 @@ class TestExoticSearch:
             return exotic_prime_search(2, 2 * 10 ** 6, segment_size=1 << 17, jobs=jobs,
                                        checkpoint_path=tmp_path / name, progress=progress)
 
-        serial = search("serial", 1)
-        parallel = search("parallel", 2)
+        one = search("one", 1)
+        two = search("two", 2)
         with pytest.raises(StopSearch):
             search("resumed", 2, stop_at=5)
         assert read_checkpoint(tmp_path / "resumed").last_completed_hi == 2 + 5 * (1 << 17)
         resumed = search("resumed", 2)
-        assert [w.m for w in serial] == [0, 5]
-        assert serial == parallel == resumed
-        assert len(events["serial"]) == 16
-        assert events["serial"] == events["parallel"] == events["resumed"]
-        final = (tmp_path / "serial").read_bytes()
-        assert (tmp_path / "parallel").read_bytes() == (tmp_path / "resumed").read_bytes() == final
+        assert [w.m for w in one] == [0, 5]
+        assert one == two == resumed
+        assert len(events["one"]) == 16
+        assert events["one"] == events["two"] == events["resumed"]
+        final = (tmp_path / "one").read_bytes()
+        assert (tmp_path / "two").read_bytes() == (tmp_path / "resumed").read_bytes() == final
 
     # The benchmark's traced run requires the same call counts for every
     # exotic window and every state of the base-prime cache (cold at 2,
@@ -550,42 +520,18 @@ class TestExoticSearch:
             assert 0 < len(asked) < len(companions) // 20
             assert {q for q in companions if 3 * euler_phi(q) == 2 * q + 2} <= set(asked)
 
-    # A search sieves each base-prime value once per process: no process,
-    # the search's or a forked worker, builds a window twice, and together
-    # they reach the root of the largest value.  The log file also collects
-    # the builds of workers.
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_search_builds_base_primes_once(self, jobs, monkeypatch, tmp_path, cold_base_primes):
-        log = tmp_path / "builds"
-        monkeypatch.setattr(sieve, "_sieve_class", logging_builds(log))
+    # A search sieves each base-prime value once: its build windows tile
+    # [2, top) in order, from a cold cache up, and reach the root of the
+    # largest value.
+    def test_search_builds_base_primes_once(self, monkeypatch, cold_base_primes):
+        windows = []
+        monkeypatch.setattr(sieve, "_sieve_class", logging_builds(windows))
         hi = 2 + 16 * (1 << 17)
-        witnesses = exotic_prime_search(2, hi, segment_size=1 << 17, jobs=jobs)
+        witnesses = exotic_prime_search(2, hi, segment_size=1 << 17)
         assert [w.m for w in witnesses] == [0, 5]
-        windows = build_windows(log)
-        assert_each_value_sieved_once(windows)
-        assert max(wins[-1][1] for wins in windows.values()) - 1 >= math.isqrt(hi - 1)
-
-    # A spawned worker inherits no cache.  Its segments extend their own,
-    # each from where the last one stopped, so every worker sieves each
-    # base-prime value once; the search's process, which runs no segment,
-    # builds none.  The hits are those of the serial search.
-    def test_pool_search_under_spawn(self, monkeypatch, tmp_path, cold_base_primes):
-        log = tmp_path / "builds"
-        monkeypatch.setenv(_BUILD_LOG, str(log))
-        monkeypatch.setattr(sieve, "_sieve_class", logging_builds(log))
-        monkeypatch.setattr(diophantine, "_exotic_segment", exotic_segment_logging_builds)
-        hi, seg = 2 + 16 * (1 << 14), 1 << 14
-        previous = multiprocessing.get_start_method(allow_none=True)
-        multiprocessing.set_start_method("spawn", force=True)
-        try:
-            pooled = exotic_prime_search(2, hi, segment_size=seg, jobs=2)
-        finally:
-            multiprocessing.set_start_method(previous, force=True)
-        windows = build_windows(log)
-        assert windows and os.getpid() not in windows
-        assert_each_value_sieved_once(windows)
-        assert pooled == exotic_prime_search(2, hi, segment_size=seg)
-        assert [w.m for w in pooled] == [0, 5]
+        assert [a for a, _ in windows] == [2] + [b for _, b in windows[:-1]]
+        assert all(a < b for a, b in windows)
+        assert windows[-1][1] - 1 >= math.isqrt(hi - 1)
 
     # MAX_EXOTIC_SEGMENT is sized from a segment's peak of 0.82 bytes per
     # value of width near 10^10; numpy reports its buffers to tracemalloc.
@@ -662,19 +608,18 @@ class TestExoticSearch:
         assert read_checkpoint(path).last_completed_hi == 2000
         assert exotic_prime_search(2, 2000, segment_size=64, checkpoint_path=path) == first
 
-    # A failed checkpoint write leaves a pooled search with its pool shut
-    # down, though the exception's traceback still holds the search's frame.
+    # A failed checkpoint write stops the search and leaves the checkpoint
+    # of the segments finished before it.
     def test_an_error_in_the_loop_stops_the_pool(self, tmp_path, failing_checkpoint_write):
-        with pytest.raises(OSError, match="disk full") as info:
-            exotic_prime_search(2, 2 + 16 * 2**17, segment_size=2**17, jobs=2, checkpoint_path=tmp_path / "x.ckpt")
-        assert multiprocessing.active_children() == []  # info still holds the traceback
+        with pytest.raises(OSError, match="disk full"):
+            exotic_prime_search(2, 2 + 16 * 2**17, segment_size=2**17, checkpoint_path=tmp_path / "x.ckpt")
         assert read_checkpoint(tmp_path / "x.ckpt").last_completed_hi == 2 + 2**17
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
             exotic_prime_search(10, 10)
 
-    # Checked before any pool starts, so MAX_JOBS + 1 starts nothing.
+    # Checked before any segment is sieved.
     @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, "2", True, None])
     def test_rejects_bad_worker_count(self, jobs):
         with pytest.raises(ValueError, match="jobs"):

@@ -1,5 +1,6 @@
 """What each command loads, and the package's exports: scalar commands start
-without numpy or a process pool, and the bulk names are served lazily."""
+without numpy, no command loads a process pool, and the bulk names are
+served lazily."""
 
 import inspect
 import json
@@ -69,14 +70,15 @@ def test_scalar_commands_load_no_numpy_and_no_pool(argv):
     ("verify-theorem", "--limit", "1000"),
     ("search-relaxed", "--limit", "1000"),
     ("search-exotic", "--from", "2", "--to", "100000", "--jobs", "1"),
+    ("search-exotic", "--from", "2", "--to", "100000", "--jobs", "2"),
 ])
 def test_serial_bulk_commands_load_no_pool(argv):
     modules = modules_after(*argv)
     assert "numpy" in modules and "gphi.diophantine" in modules
     assert "concurrent.futures.process" not in modules
     assert under(modules, "multiprocessing") == []
-    if argv[0] == "search-exotic":  # the pool's errors are translated where it is opened
-        assert under(modules, "concurrent") == []
+    if argv[0] == "search-exotic":
+        assert under(modules, "concurrent", "multiprocessing") == []
 
 
 # gphi calls no BLAS routine: numpy starts with one OpenBLAS thread, not
@@ -87,11 +89,6 @@ def test_numpy_starts_with_one_blas_thread_unless_set(openblas, expected):
     assert "numpy" in modules and setting == expected
     if expected == "1" and threads is not None:
         assert threads == 1
-
-
-def test_pool_search_loads_the_pool():
-    modules = modules_after("search-exotic", "--from", "2", "--to", "100000", "--jobs", "2")
-    assert "concurrent.futures.process" in modules
 
 
 # Every name the package exported when it imported all its modules eagerly,
@@ -211,17 +208,19 @@ def test_the_oracle_comparison_has_one_owner():
     assert not hasattr(gphi.diophantine, "theorem_mismatches")
 
 
-# The pool of search-exotic is opened, fed and translated on failure in
-# diophantine._segment_results: the CLI imports nothing from concurrent.
+# Every command runs in one process: no module of the package imports
+# concurrent or multiprocessing, at its top or inside a function.
 def test_the_cli_knows_no_pool():
     import ast
 
-    import gphi.cli
-
+    paths = sorted(Path(gphi.__file__).parent.glob("*.py"))
+    assert {"cli.py", "diophantine.py", "sieve.py"} <= {path.name for path in paths}
     imported = []
-    for node in ast.walk(ast.parse(inspect.getsource(gphi.cli))):
-        if isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            imported.append(node.module or ".")
-    assert [name for name in imported if name.split(".")[0] == "concurrent"] == []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((path.name, node.module))
+    assert [(name, module) for name, module in imported
+            if module.split(".")[0] in ("concurrent", "multiprocessing")] == []
