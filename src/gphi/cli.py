@@ -27,9 +27,12 @@ import time
 
 from . import arith, equation, orbits
 from .equation import InternalInconsistencyError, SolutionKind
-from .limits import DEFAULT_SEGMENT_SIZE, MAX_JOBS
+from .limits import DEFAULT_SEGMENT_SIZE
 
 JOBS_ENV_VAR = "GPHI_JOBS"
+# Largest job count of --jobs and GPHI_JOBS.  Every command runs in one
+# process, so the count is only validated and echoed.
+MAX_JOBS = 256
 
 
 def resolve_jobs(jobs):
@@ -98,7 +101,6 @@ def _cmd_search_exotic(args):
         args.lo,
         args.hi,
         segment_size=args.segment_size,
-        jobs=args.jobs,
         checkpoint_path=args.checkpoint,
         progress=progress if args.progress else None,
     )

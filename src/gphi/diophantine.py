@@ -39,7 +39,6 @@ from .equation import (
     family_members,
     is_solution,
 )
-from .limits import MAX_JOBS
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     SearchCheckpoint,
@@ -371,7 +370,6 @@ def exotic_prime_search(
     lo,
     hi,
     segment_size=DEFAULT_SEGMENT_SIZE,
-    jobs=1,
     checkpoint_path=None,
     progress=None,
 ):
@@ -385,8 +383,7 @@ def exotic_prime_search(
     run in this process, in ascending range order, and their kernels extend
     the cache of base_primes to their own roots.  A checkpoint file, read by
     _resume, written after each segment and before progress(seg_lo, seg_hi,
-    seg_hits), makes the search resumable.  jobs is validated but changes
-    nothing.
+    seg_hits), makes the search resumable.
     """
     if not 2 <= lo < hi:
         raise ValueError(f"need 2 <= lo < hi, got [{lo}, {hi})")
@@ -398,8 +395,6 @@ def exotic_prime_search(
         raise SegmentTooLargeError(
             f"segment size {segment_size} exceeds {MAX_EXOTIC_SEGMENT} on [{lo}, {hi})"
         )
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
-        raise ValueError(f"jobs must be an integer from 1 to {MAX_JOBS}, got {jobs!r}")
     search_id = f"exotic:{lo}:{hi}:{segment_size}"
     start, hits = _resume(checkpoint_path, search_id, lo, hi, segment_size)
     for seg_lo in range(start, hi, segment_size):

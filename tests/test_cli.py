@@ -304,7 +304,7 @@ class TestSearchExotic:
 
     # A checkpoint write that fails in the middle of a search exits 2 with
     # its one line.
-    def test_failed_checkpoint_write_with_a_pool_is_one_error_line(self, capsys, tmp_path, failing_checkpoint_write):
+    def test_failed_checkpoint_write_is_one_error_line(self, capsys, tmp_path, failing_checkpoint_write):
         path = tmp_path / "x.ckpt"
         code, out, err = run(capsys, "search-exotic", "--from", "2", "--to", str(2 + 16 * 2**17),
                              "--segment-size", str(2**17), "--checkpoint", str(path))
@@ -401,18 +401,17 @@ def finished_segments(path, segment_size):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process groups from /proc")
 class TestCrashResume:
     """search-exotic --checkpoint killed by SIGKILL with its whole process
-    group, with --jobs 1 and 2: before its first checkpoint, and once the
-    checkpoint shows 10 and 100 finished segments.  Run again, it prints the
-    stdout, minus elapsed_ms, and leaves the checkpoint bytes of a run that
-    was never killed."""
+    group: before its first checkpoint, and once the checkpoint shows 10 and
+    100 finished segments.  Run again, it prints the stdout, minus
+    elapsed_ms, and leaves the checkpoint bytes of a run that was never
+    killed."""
 
     SEGMENT = 131072
     HI = 10 ** 8  # 763 segments, about 2 s of work on a 2-core host
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_killed_search_resumes_to_the_same_output(self, tmp_path, jobs):
+    def test_killed_search_resumes_to_the_same_output(self, tmp_path):
         argv = (sys.executable, "-m", "gphi.cli", "search-exotic", "--from", "2", "--to", str(self.HI),
-                "--segment-size", str(self.SEGMENT), "--checkpoint", "search.ckpt", "--jobs", jobs)
+                "--segment-size", str(self.SEGMENT), "--checkpoint", "search.ckpt")
 
         def start(cwd):  # in a process group of its own, which the kill takes whole
             return subprocess.Popen(argv, cwd=cwd, env=cli_env(), text=True, stdout=subprocess.PIPE,
@@ -729,7 +728,7 @@ class TestJobs:
         with pytest.raises(ValueError, match="GPHI_JOBS"):
             resolve_jobs(None)
 
-    # Validation happens before any pool starts, so "0" here starts nothing.
+    # Refused before the scan starts.
     def test_bad_count_exits_2(self, capsys):
         code, out, err = run(capsys, "scan-orbits", "--limit", "10", "--jobs", "0")
         assert code == 2

@@ -13,7 +13,6 @@ from gphi import diophantine, sieve
 from gphi.arith import euler_phi, factorize, is_prime, odd_part, v2
 from gphi.diophantine import (
     MAX_EXOTIC_SEGMENT,
-    MAX_JOBS,
     MAX_SEARCH_VALUE,
     FAMILIES,
     CheckpointMismatchError,
@@ -418,26 +417,26 @@ class TestExoticSearch:
             assert euler_phi((3 * w.p - 1) // 4) == (w.p + 1) // 2
 
     # Many segments: the same hits, per-segment progress and final
-    # checkpoint bytes with jobs 1 and 2, and resumed with jobs 2 after a
-    # progress callback stopped the search at its fifth segment.
-    def test_deterministic_across_jobs(self, tmp_path):
+    # checkpoint bytes from two runs, and from a run resumed after a
+    # progress callback stopped it at its fifth segment.
+    def test_runs_and_a_resumed_run_agree(self, tmp_path):
         events = {}
 
-        def search(name, jobs, stop_at=None):
+        def search(name, stop_at=None):
             def progress(*event):
                 events.setdefault(name, []).append(event)
                 if len(events[name]) == stop_at:
                     raise StopSearch()
 
-            return exotic_prime_search(2, 2 * 10 ** 6, segment_size=1 << 17, jobs=jobs,
+            return exotic_prime_search(2, 2 * 10 ** 6, segment_size=1 << 17,
                                        checkpoint_path=tmp_path / name, progress=progress)
 
-        one = search("one", 1)
-        two = search("two", 2)
+        one = search("one")
+        two = search("two")
         with pytest.raises(StopSearch):
-            search("resumed", 2, stop_at=5)
+            search("resumed", stop_at=5)
         assert read_checkpoint(tmp_path / "resumed").last_completed_hi == 2 + 5 * (1 << 17)
-        resumed = search("resumed", 2)
+        resumed = search("resumed")
         assert [w.m for w in one] == [0, 5]
         assert one == two == resumed
         assert len(events["one"]) == 16
@@ -550,15 +549,14 @@ class TestExoticSearch:
         assert peak <= 0.9 * width
 
     # Segments are made as they run: stopped after its first segment, a
-    # search to 10^15 (about 2.4 * 10^8 segments) returns at once, its
-    # parent holding little more than the base primes to sqrt(10^15).
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_segments_stream_lazily(self, jobs):
+    # search to 10^15 (about 2.4 * 10^8 segments) returns at once, holding
+    # little more than the base primes to sqrt(10^15).
+    def test_segments_stream_lazily(self):
         started = time.monotonic()
         tracemalloc.start()
         try:
             with pytest.raises(StopSearch):
-                exotic_prime_search(2, 10 ** 15, jobs=jobs, progress=stop_after(1))
+                exotic_prime_search(2, 10 ** 15, progress=stop_after(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -610,7 +608,7 @@ class TestExoticSearch:
 
     # A failed checkpoint write stops the search and leaves the checkpoint
     # of the segments finished before it.
-    def test_an_error_in_the_loop_stops_the_pool(self, tmp_path, failing_checkpoint_write):
+    def test_failed_checkpoint_write_keeps_the_finished_segments(self, tmp_path, failing_checkpoint_write):
         with pytest.raises(OSError, match="disk full"):
             exotic_prime_search(2, 2 + 16 * 2**17, segment_size=2**17, checkpoint_path=tmp_path / "x.ckpt")
         assert read_checkpoint(tmp_path / "x.ckpt").last_completed_hi == 2 + 2**17
@@ -618,12 +616,6 @@ class TestExoticSearch:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             exotic_prime_search(10, 10)
-
-    # Checked before any segment is sieved.
-    @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, "2", True, None])
-    def test_rejects_bad_worker_count(self, jobs):
-        with pytest.raises(ValueError, match="jobs"):
-            exotic_prime_search(2, 100, jobs=jobs)
 
     # With a stub segment, a broken width check sieves nothing.
     def test_rejects_oversized_segment(self, monkeypatch):

@@ -208,6 +208,21 @@ def test_the_oracle_comparison_has_one_owner():
     assert not hasattr(gphi.diophantine, "theorem_mismatches")
 
 
+# The job-count rule is spelled once, in cli.resolve_jobs: no other module
+# names MAX_JOBS, and the library's exotic search takes no job count.
+def test_the_job_count_has_one_owner():
+    import ast
+
+    from gphi.diophantine import exotic_prime_search
+
+    paths = sorted(Path(gphi.__file__).parent.glob("*.py"))
+    assert {"cli.py", "diophantine.py", "limits.py"} <= {path.name for path in paths}
+    readers = {path.name for path in paths for node in ast.walk(ast.parse(path.read_text()))
+               if "MAX_JOBS" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))}
+    assert readers == {"cli.py"}
+    assert "jobs" not in inspect.signature(exotic_prime_search).parameters
+
+
 # Every command runs in one process: no module of the package imports
 # concurrent or multiprocessing, at its top or inside a function.
 def test_the_cli_knows_no_pool():
