@@ -192,13 +192,13 @@ def build_parser():
     p = sub.add_parser("orbit", parents=[common], help="orbit relations for a single n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kmax", type=int, default=orbits.DEFAULT_K_MAX)
-    p.add_argument("--rmax", type=int, default=25)
+    p.add_argument("--rmax", type=int, default=orbits.DEFAULT_R_MAX)
     p.set_defaults(handler=_cmd_orbit)
 
     p = sub.add_parser("scan-orbits", parents=[common], help="orbit relations for all n up to a limit")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--kmax", type=int, default=orbits.DEFAULT_K_MAX)
-    p.add_argument("--rmax", type=int, default=9)
+    p.add_argument("--rmax", type=int, default=orbits.DEFAULT_SCAN_R_MAX)
     p.add_argument("--jobs", default=None, help="validated and echoed; the scan runs in one process")
     p.set_defaults(handler=_cmd_scan_orbits)
 

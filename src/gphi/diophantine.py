@@ -5,8 +5,9 @@ equation directly from bulk totient tables and never consults the
 classifier.  classify() goes the other way, matching n against the known
 solution shapes and then confirming every positive match against the
 equation, so a transcription bug turns into a loud error instead of a
-wrong answer.  classify_range() classifies whole sweeps from the family
-index and the search tree below, held to classify on a sample of each range.
+wrong answer.  classify_range() runs classify on the few candidates of a
+whole sweep, the family odd parts and the exotic ones of the search tree
+below, and checks a sample of each range for a solution it missed.
 relaxed_search() solves 3*phi(q) = 2q + 2 on a search tree of prefixes of
 q's primes, held to a phi scan of [2, 2^21] in every run.
 
@@ -195,8 +196,8 @@ def classify(n):
     return SolutionClass(kind, ell, exotic_m)
 
 
-# classify_range checks this many n of its range (all of a shorter one)
-# against the scalar classify.
+# classify_range checks this many n of its range (all of a shorter one) for
+# solutions, by classify, that are not among its candidates.
 _RANGE_SAMPLE_SIZE = 1024
 
 
@@ -204,44 +205,26 @@ def classify_range(limit):
     """{n: classify(n)} for every n <= limit that classify calls a solution,
     in ascending order.
 
-    Family members come from the family index.  An exotic odd part a*m + b
-    <= limit // 2 has its companion q = 6m + 5 <= limit // 2, a hit of
+    classify decides the candidates n = q * 2^ell <= limit, ell >= 1, for
+    the family odd parts q and the exotic odd parts a*m + b.  An exotic odd
+    part <= limit // 2 has its companion q = 6m + 5 <= limit // 2, a hit of
     _relaxed_tree(limit // 2) with (4q + 1)/3 = 8m + 7 prime, so no totient
-    is sieved.  Family odd parts are left out and the shapes are tried in
-    classify's order.  Every positive is re-confirmed against the equation,
-    and a sample of the range seeded by limit is checked against classify.
+    is sieved.  A sample of the range seeded by limit is checked for
+    solutions that are not candidates.
     """
     _check_natural(limit)
     if (top := limit // 2) > MAX_SEARCH_VALUE:
         raise SieveRangeError(f"limit {limit} needs the search tree to {top}, past the search maximum {MAX_SEARCH_VALUE}")
-    # odd part -> (kind, least ell, exotic m); setdefault lets the families,
-    # then the shapes in order, take precedence as they do in classify.
-    odd_parts = {q: (kind, least, None) for q, (kind, least) in _FAMILY_BY_ODD_PART.items()}
     hits = [(q - 5) // 6 for q in _relaxed_tree(top)[0] if is_prime((4 * q + 1) // 3)]
-    for shape, (a, b) in _EXOTIC_SHAPES.items():
-        for m in hits:  # an odd part above top gives no n <= limit below
-            odd_parts.setdefault(a * m + b, (shape, 1, m))
-    classes = {}
-    for q, (kind, ell, m) in odd_parts.items():
-        while q << ell <= limit:
-            classes[q << ell] = SolutionClass(kind, ell, m)
-            ell += 1
-    classes = dict(sorted(classes.items()))
-    for n, cls in classes.items():
-        if not is_solution(n):
-            raise InternalInconsistencyError(
-                f"classify_range: {n} matches shape {cls.kind.value} but fails the defining equation"
-            )
+    odd_parts = set(_FAMILY_BY_ODD_PART) | {a * m + b for a, b in _EXOTIC_SHAPES.values() for m in hits}
+    candidates = {q << ell for q in odd_parts for ell in range(1, (limit // q).bit_length())}
+    classes = {n: cls for n in sorted(candidates) if (cls := classify(n)).kind is not SolutionKind.NOT_SOLUTION}
     population = range(1, limit + 1)
     if len(population) > _RANGE_SAMPLE_SIZE:
         population = random.Random(limit).sample(population, _RANGE_SAMPLE_SIZE)
     for n in population:
-        got = classes.get(n, SolutionClass(SolutionKind.NOT_SOLUTION, v2(n)))
-        expected = classify(n)
-        if got != expected:
-            raise InternalInconsistencyError(
-                f"classify_range({limit}) gives {got} for {n}, classify gives {expected}"
-            )
+        if n not in candidates and (cls := classify(n)).kind is not SolutionKind.NOT_SOLUTION:
+            raise InternalInconsistencyError(f"classify_range({limit}) misses {n}, which classify calls {cls.kind.value}")
     return classes
 
 

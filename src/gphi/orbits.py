@@ -13,6 +13,9 @@ from .arith import _check_natural, NaturalOverflowError, g, iterate_g
 from .equation import is_solution
 
 DEFAULT_K_MAX = 64
+# Default largest shift r of detect_relations (orbit) and of scan_orbits.
+DEFAULT_R_MAX = 25
+DEFAULT_SCAN_R_MAX = 9
 
 
 class Persistence(Enum):
@@ -40,7 +43,7 @@ def _is_power_of_two(x):
     return x >= 1 and x & (x - 1) == 0
 
 
-def detect_relations(n, k_max=DEFAULT_K_MAX, r_max=25, successors=None):
+def detect_relations(n, k_max=DEFAULT_K_MAX, r_max=DEFAULT_R_MAX, successors=None):
     """Detect every shift r <= r_max whose ratio g_{k+r}/g_k is a fixed
     integer >= 2 from some minimal k0 through the end of the computed orbit.
 
@@ -55,10 +58,8 @@ def detect_relations(n, k_max=DEFAULT_K_MAX, r_max=25, successors=None):
     top = len(values) - 1
     relations = []
     by_r = {}
-    for r in range(1, r_max + 1):
+    for r in range(1, min(r_max, top) + 1):  # past top no pair of values is r apart
         last = top - r
-        if last < 0:
-            continue
         quot, rem = divmod(values[last + r], values[last])
         if rem or quot < 2:
             continue
@@ -147,7 +148,7 @@ def reduce_to_diophantine(n, k_max):
     return None
 
 
-def scan_orbits(limit, k_max=DEFAULT_K_MAX, r_max=9):
+def scan_orbits(limit, k_max=DEFAULT_K_MAX, r_max=DEFAULT_SCAN_R_MAX):
     """detect_relations over every n <= limit, streamed in ascending n.
 
     Orbits of different n merge, so one successor map, kept for this call

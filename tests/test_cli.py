@@ -30,8 +30,8 @@ def json_records(out):
 
 @pytest.fixture
 def misclassify_70(monkeypatch):
-    """The family index both classifiers read, broken to start family 35 at
-    ell = 2, so the range and the scalar classifier both miss the solution 70."""
+    """The family index of classify, broken to start family 35 at ell = 2, so
+    classify, and classify_range, which asks it, miss the solution 70."""
     monkeypatch.setitem(diophantine._FAMILY_BY_ODD_PART, 35, (SolutionKind.FAMILY_35, 2))
 
 
@@ -124,16 +124,18 @@ class TestVerifyTheorem:
         assert records == [{"n": 70, "brute": True, "classified": False, "kind": "not_solution"}]
         assert summary["truncations"] == ["solutions=19", "mismatches=1"]
 
+    # classify_range decides its candidates with classify, so a classify
+    # that misses 70 is a mismatch with the oracle.
     def test_range_and_scalar_disagreement_exits_1(self, capsys, monkeypatch):
         classify = diophantine.classify
         monkeypatch.setattr(
             diophantine, "classify",
             lambda n: SolutionClass(SolutionKind.NOT_SOLUTION, 1) if n == 70 else classify(n),
         )
-        code, out, err = run(capsys, "verify-theorem", "--limit", "100")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: inconsistency:") and err.count("\n") == 1
+        code, out, _ = run(capsys, "verify-theorem", "--limit", "100")
+        records, summary = json_records(out)
+        assert code == summary["exit_code"] == 1
+        assert records == [{"n": 70, "brute": True, "classified": False, "kind": "not_solution"}]
 
     # At 10^15 the brute-force phi table would take 14 PiB; sieved a unit at
     # a time it would run for years instead.  The limit is refused by name,
@@ -530,6 +532,19 @@ class TestOrbit:
         assert proc.returncode == 0, proc.stderr
         _, summary = json_records(proc.stdout)
         assert summary["truncations"] == ["orbit truncated at k=0 (width limit)"]
+
+    # The orbit of 2^190 truncates at k = 3, so no shift past 3 has a pair of
+    # values; the relation loop stops there instead of running to --rmax.
+    def test_rmax_past_a_short_orbit_is_not_looped(self):
+        n = 1 << 190
+        proc = subprocess.run(
+            [sys.executable, "-m", "gphi.cli", "orbit", "--n", str(n), "--kmax", str(10**9), "--rmax", str(10**9)],
+            capture_output=True, text=True, env=cli_env(), timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        records, summary = json_records(proc.stdout)
+        assert [(r["r"], r["multiplier"]) for r in records] == [(2, 2), (3, 3)]
+        assert summary["truncations"] == ["orbit truncated at k=3 (width limit)"]
 
     def test_repeat_runs_identical(self, capsys):
         _, out1, _ = run(capsys, "orbit", "--n", "385", "--rmax", "20")

@@ -321,7 +321,8 @@ class TestClassifyRange:
     def test_shapes_are_tried_in_classify_order(self, monkeypatch, first, second):
         # The real shapes never share an odd part: A needs q prime and B needs
         # phi(q) = (2q + 2)/3, both only at q = 5, which is not 7 mod 8.  Two
-        # copies of one shape do, and the first listed wins in both classifiers.
+        # copies of one shape do, and the first listed wins in classify, which
+        # classify_range asks.
         monkeypatch.setattr(diophantine, "_FAMILY_BY_ODD_PART", {})
         monkeypatch.setattr(diophantine, "_EXOTIC_SHAPES", {first: (8, 7), second: (8, 7)})
         expected = {14: SolutionClass(first, 1, 0), 28: SolutionClass(first, 2, 0),
@@ -329,12 +330,6 @@ class TestClassifyRange:
         assert classify_range(100) == expected
         for n, cls in expected.items():
             assert classify(n) == cls
-
-    def test_disagreement_with_classify_raises(self, monkeypatch):
-        scalar = diophantine.classify
-        monkeypatch.setattr(diophantine, "classify", lambda n: SolutionClass(SolutionKind.NOT_SOLUTION, v2(n)) if n == 70 else scalar(n))
-        with pytest.raises(InternalInconsistencyError, match="classify_range"):
-            classify_range(100)
 
     def test_a_search_that_misses_a_hit_is_caught(self, monkeypatch):
         # Without the family index only the search tree gives the odd parts
@@ -352,17 +347,17 @@ class TestClassifyRange:
             classify_range(100)
 
     def test_sample_of_a_long_range_is_checked(self, monkeypatch):
-        # A classify that is wrong on every n: any sample point shows it.
-        monkeypatch.setattr(diophantine, "classify", lambda n: SolutionClass(SolutionKind.NOT_SOLUTION, -1))
-        with pytest.raises(InternalInconsistencyError, match="classify_range"):
+        # A classify that calls every even n a solution: an even sample point
+        # that is no candidate shows it.
+        monkeypatch.setattr(diophantine, "classify", lambda n: SolutionClass(SolutionKind.FAMILY_3 if n % 2 == 0 else SolutionKind.NOT_SOLUTION, v2(n)))
+        with pytest.raises(InternalInconsistencyError, match=r"classify_range\(50000\) misses "):
             classify_range(50000)
 
     def test_positives_are_confirmed(self, monkeypatch):
-        # Both classifiers take 9 for a family odd part; only the equation says no.
+        # The family index takes 9 for a family odd part; only the equation,
+        # which classify checks, says no.
         monkeypatch.setitem(diophantine._FAMILY_BY_ODD_PART, 9, (SolutionKind.FAMILY_3, 1))
-        scalar = diophantine.classify
-        monkeypatch.setattr(diophantine, "classify", lambda n: SolutionClass(SolutionKind.FAMILY_3, 1) if n == 18 else scalar(n))
-        with pytest.raises(InternalInconsistencyError, match="classify_range: 18 matches"):
+        with pytest.raises(InternalInconsistencyError, match="^18 matches shape family_3 but fails the defining equation$"):
             classify_range(20)
 
 

@@ -239,3 +239,18 @@ def test_the_cli_knows_no_pool():
                 imported.append((path.name, node.module))
     assert [(name, module) for name, module in imported
             if module.split(".")[0] in ("concurrent", "multiprocessing")] == []
+
+
+# The solution-shape rules (the family index's precedence over the exotic
+# shapes, the shapes' order and the class built from them) are spelled once,
+# in diophantine.classify: classify_range asks classify about each candidate
+# and builds no SolutionClass of its own.
+def test_the_shape_rules_have_one_owner():
+    import ast
+
+    import gphi.diophantine
+
+    tree = ast.parse(inspect.getsource(gphi.diophantine.classify_range))
+    called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "classify" in called
+    assert "SolutionClass" not in called
