@@ -1,9 +1,9 @@
 """Exact integer arithmetic: factorization, Euler totient, 2-adic valuation,
 and the totient-increment map g(n) = n + phi(n) with its iteration.
 
-Everything here is a pure function of its inputs.  The randomized stage of
-factorization seeds its generator from the number being factored, so results
-are reproducible and no two calls share generator state.
+Everything here is a pure function of its inputs.  Each rho split of
+factorization seeds its own generator from the composite it splits, so
+results are reproducible and no two calls share generator state.
 """
 
 from __future__ import annotations
@@ -88,8 +88,10 @@ def is_prime(n):
 _TRIAL_PRIMES = [p for p in range(2, TRIAL_DIVISION_BOUND + 1) if is_prime(p)]
 
 
-def _brent_rho(n, rng):
-    """Find a nontrivial factor of an odd composite n (Brent's cycle variant)."""
+def _brent_rho(n):
+    """Find a nontrivial factor of an odd composite n (Brent's cycle variant),
+    from a generator seeded with n."""
+    rng = random.Random(n)
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -161,11 +163,10 @@ def _integer_root(m, k):
     return x
 
 
-def _split_composite(m, found, rng, mult=1):
+def _split_composite(m, found, mult=1):
     """Add the prime factors of m ** mult to found; m has none up to
     TRIAL_DIVISION_BOUND.  A perfect power r^k is split as r, since rho would
-    need about sqrt(r) steps on it; r > TRIAL_DIVISION_BOUND bounds the k.
-    rng() returns the generator that every rho call of one factorization shares."""
+    need about sqrt(r) steps on it; r > TRIAL_DIVISION_BOUND bounds the k."""
     if is_prime(m):
         found[m] = found.get(m, 0) + mult
         return
@@ -173,11 +174,11 @@ def _split_composite(m, found, rng, mult=1):
     while TRIAL_DIVISION_BOUND ** k <= m:
         r = _integer_root(m, k)
         if r ** k == m:
-            return _split_composite(r, found, rng, mult * k)
+            return _split_composite(r, found, mult * k)
         k += 1
-    d = _brent_rho(m, rng())
-    _split_composite(d, found, rng, mult)
-    _split_composite(m // d, found, rng, mult)
+    d = _brent_rho(m)
+    _split_composite(d, found, mult)
+    _split_composite(m // d, found, mult)
 
 
 def factorize(n):
@@ -201,24 +202,13 @@ def factorize(n):
             found[p] = e
     else:
         if cof > 1:
-            rng = None
-
-            # Seeding a generator costs about a third of a typical
-            # factorization, and most cofactors are prime: seed it only
-            # when rho runs.
-            def shared_rng():
-                nonlocal rng
-                if rng is None:
-                    rng = random.Random(cof)
-                return rng
-
-            _split_composite(cof, found, shared_rng)
+            _split_composite(cof, found)
     return Factorization._proven(tuple(sorted(found.items())))
 
 
 def euler_phi(n):
-    """Euler's totient, computed exactly from the factorization of n."""
-    _check_natural(n)
+    """Euler's totient, computed exactly from the factorization of n, which
+    checks n."""
     out = 1
     for p, e in factorize(n).factors:
         out *= (p - 1) * p ** (e - 1)

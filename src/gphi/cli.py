@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+from enum import Enum
 
 from . import arith, equation, orbits
 from .equation import InternalInconsistencyError, SolutionKind
@@ -49,20 +50,11 @@ def resolve_jobs(jobs):
     return value
 
 
-def _relation_record(rel):
-    return {
-        "n": rel.n,
-        "k0": rel.k0,
-        "r": rel.r,
-        "multiplier": rel.multiplier,
-        "verified_to_k": rel.verified_to_k,
-        "persistent": rel.persistent.value,
-        "related_r": rel.related_r,
-    }
-
-
-def _classify_record(n, cls):
-    return {"n": n, "kind": cls.kind.value, "ell": cls.ell, "exotic_m": cls.exotic_m}
+def _record(result, **lead):
+    """The record of a library result: the keys of lead, then the fields of
+    the frozen dataclass result in field order, which is the order its
+    __init__ fills __dict__ in.  Enums stay enums until _emit writes them."""
+    return {**lead, **vars(result)}
 
 
 def _cmd_solutions(args):
@@ -73,10 +65,10 @@ def _cmd_solutions(args):
     if args.method == "brute":
         records = [{"n": n} for n in diophantine.brute_force_solutions(args.limit)]
     elif args.method == "classify":
-        records = [_classify_record(n, cls) for n, cls in diophantine.classify_range(args.limit).items()]
+        records = [_record(cls, n=n) for n, cls in diophantine.classify_range(args.limit).items()]
     else:
         for n, brute, classified, cls in diophantine.oracle_comparison(args.limit):
-            records.append({**_classify_record(n, cls), "brute": brute, "classified": classified})
+            records.append({**_record(cls, n=n), "brute": brute, "classified": classified})
         code = int(any(r["brute"] != r["classified"] for r in records))
     return records, code, []
 
@@ -104,8 +96,7 @@ def _cmd_search_exotic(args):
         checkpoint_path=args.checkpoint,
         progress=progress if args.progress else None,
     )
-    records = [{"m": w.m, "p": w.p, "q": w.q} for w in witnesses]
-    return records, 0, []
+    return [_record(w) for w in witnesses], 0, []
 
 
 def _cmd_search_relaxed(args):
@@ -121,12 +112,12 @@ def _cmd_orbit(args):
     orbit = arith.iterate_g(args.n, args.kmax, successors=successors)
     if orbit.truncated:
         notes.append(f"orbit truncated at k={orbit.last_valid_k} (width limit)")
-    return [_relation_record(rel) for rel in relations], 0, notes
+    return [_record(rel) for rel in relations], 0, notes
 
 
 def _cmd_scan_orbits(args):
     relations = orbits.scan_orbits(args.limit, args.kmax, args.rmax)
-    return [_relation_record(rel) for rel in relations], 0, []
+    return [_record(rel) for rel in relations], 0, []
 
 
 def _cmd_families(args):
@@ -140,19 +131,7 @@ def _cmd_families(args):
 
 
 def _cmd_trace(args):
-    trace = equation.case_trace(args.n)
-    record = {
-        "n": args.n,
-        "ell1": trace.ell1,
-        "ell2": trace.ell2,
-        "case": trace.case.value,
-        "p": trace.p,
-        "alpha": trace.alpha,
-        "k": trace.k,
-        "q": trace.q,
-        "phi_q_check": trace.phi_q_check,
-    }
-    return [record], 0, []
+    return [_record(equation.case_trace(args.n), n=args.n)], 0, []
 
 
 def build_parser():
@@ -215,16 +194,30 @@ def build_parser():
     return parser
 
 
+def _enum_value(value):
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"{type(value).__name__} is not a record value")
+
+
+# One encoder for every record, so that its enums are written as their values
+# without the record being copied first.
+_RECORD_JSON = json.JSONEncoder(default=_enum_value)
+
+
 def _emit(records, summary, fmt, out):
     if fmt == "json":
         for record in records:
-            out.write(json.dumps(record) + "\n")
+            out.write(_RECORD_JSON.encode(record) + "\n")
         out.write(json.dumps(summary) + "\n")
     else:
         if records:
             writer = csv.DictWriter(out, fieldnames=list(records[0].keys()))
             writer.writeheader()
-            writer.writerows(records)
+            writer.writerows(
+                {key: v.value if isinstance(v, Enum) else v for key, v in record.items()}
+                for record in records
+            )
         print(json.dumps(summary), file=sys.stderr)
 
 

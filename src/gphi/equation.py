@@ -20,8 +20,7 @@ class InternalInconsistencyError(RuntimeError):
 
 
 def is_solution(n):
-    """True iff phi(n) + phi(n + phi(n)) = n."""
-    _check_natural(n)
+    """True iff phi(n) + phi(n + phi(n)) = n; euler_phi checks n."""
     tot = euler_phi(n)
     return tot + euler_phi(n + tot) == n
 

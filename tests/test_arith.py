@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from gphi import arith
+from gphi import arith, equation
 from gphi.arith import (
     Factorization,
     LemmaKind,
@@ -98,6 +98,14 @@ class TestFactorize:
         assert seeds == []
         assert factorize(6 * p * q).factors == ((2, 1), (3, 1), (p, 1), (q, 1))
         assert seeds == [p * q]
+        # Three primes take two rho splits, each seeded with the composite it
+        # splits: first the cofactor, then the two-prime part left of it.
+        r = 1000037
+        seeds.clear()
+        assert factorize(p * q * r).factors == ((p, 1), (q, 1), (r, 1))
+        assert len(seeds) == 2
+        assert seeds[0] == p * q * r
+        assert seeds[1] in (p * q, p * r, q * r)
 
     def test_each_prime_is_proven_once(self, monkeypatch):
         proven = []
@@ -160,6 +168,21 @@ class TestEulerPhi:
     def test_doubling_law_for_even(self, m):
         n = 2 * m
         assert euler_phi(2 * n) == 2 * euler_phi(n)
+
+
+# factorize alone checks its argument; euler_phi and is_solution, which
+# reach it first thing, raise its exceptions with its messages.
+@pytest.mark.parametrize("func", [factorize, euler_phi, equation.is_solution])
+@pytest.mark.parametrize("n, error, message", [
+    (0, ValueError, "expected n >= 1, got 0"),
+    (-3, ValueError, "expected n >= 1, got -3"),
+    (True, TypeError, "expected an integer, got bool"),
+    (2.0, TypeError, "expected an integer, got float"),
+])
+def test_bad_argument_message(func, n, error, message):
+    with pytest.raises(error) as info:
+        func(n)
+    assert str(info.value) == message
 
 
 class TestMap:

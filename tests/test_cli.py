@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -43,6 +45,11 @@ def factorize_calls(monkeypatch):
     factorize = arith.factorize
     monkeypatch.setattr(arith, "factorize", lambda n: calls.update([n]) or factorize(n))
     return calls
+
+
+def emitted(results):
+    """The JSON records the CLI writes for these library results."""
+    return [json.loads(cli._RECORD_JSON.encode(cli._record(result))) for result in results]
 
 
 def strip_timing(out):
@@ -504,7 +511,7 @@ class TestOrbit:
     def test_factors_an_overflowing_value_once(self, capsys, monkeypatch, factorize_calls, n, width, last):
         monkeypatch.setattr(arith, "NATURAL_MAX", width)
         orbit = arith.iterate_g(n, 64)
-        expected = [cli._relation_record(rel) for rel in orbits.detect_relations(n, 64, 2)]
+        expected = emitted(orbits.detect_relations(n, 64, 2))
         factorize_calls.clear()
         code, out, _ = run(capsys, "orbit", "--n", str(n), "--kmax", "64", "--rmax", "2")
         records, summary = json_records(out)
@@ -566,7 +573,7 @@ class TestScanOrbits:
     # twice, and the relations are those of orbits walked one by one.
     def test_factors_each_overflowing_value_once(self, capsys, monkeypatch, factorize_calls):
         monkeypatch.setattr(arith, "NATURAL_MAX", (1 << 20) - 1)
-        expected = [cli._relation_record(rel) for n in range(2, 41) for rel in orbits.detect_relations(n, 64, 2)]
+        expected = emitted(rel for n in range(2, 41) for rel in orbits.detect_relations(n, 64, 2))
         factorize_calls.clear()
         code, out, _ = run(capsys, "scan-orbits", "--limit", "40", "--kmax", "64", "--rmax", "2")
         records, summary = json_records(out)
@@ -749,3 +756,34 @@ class TestJobs:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --jobs") and err.count("\n") == 1
+
+
+# Every record shape of every command, pinned byte for byte: the exit code
+# and the sha256 of stdout with elapsed_ms masked, so key order, CSV headers
+# and enum spelling cannot drift in a refactor.
+GOLDEN_OUTPUTS = [
+    (("orbit", "--n", "3114"), "d4ce92e51a2e1bfa46b0cf6cebd0f36897b0129453519d03d66b97d34f96597e"),
+    (("orbit", "--n", "6", "--format", "csv"), "2ed96ea0293525db1080bd1bc2aecb65a72b08d36626cd0346f6b2f38c5ddca7"),
+    (("orbit", "--n", str(2**100), "--kmax", "64"), "5a40d92b578bae6c6c641145b1d7b0be4eba5156f89e843354549941675c0968"),
+    (("scan-orbits", "--limit", "300"), "8485e2f7e9af4d360789e4ad068d2c225de21e4b03c6f2969f4c4ee179711447"),
+    (("scan-orbits", "--limit", "60", "--format", "csv"), "58dd9e69435ba490d472ef21e1437ba041b663e54408f45cfbc7505b0b6d0424"),
+    (("solutions", "--limit", "100000", "--method", "classify"), "8158b6f4d7debb42df488450cf3ab3c340f8f48ca6a558022044c072f9e24d37"),
+    (("solutions", "--limit", "5000", "--method", "both"), "aea573d8c0ab69fda67bd1086b47eb25561a86d136d2d2c3b3214e4dbef00a9f"),
+    (("solutions", "--limit", "5000", "--method", "both", "--format", "csv"), "18857cba135795a4478d04412f54ed68d6465182212053c84493431124d752fb"),
+    (("trace", "--n", "70"), "403fd80fc0cc041d806b2683aaf6bf00c579084293d68335596a587ad4ee235a"),
+    (("trace", "--n", "94"), "97e2e2f84f742f45c28c039fc8277c1ea94a285868567972c4b6ea46ef3afd65"),
+    (("trace", "--n", "12"), "64ac2b3189f930acda9a9a686250caa9e9d16ea436afb999e2d16c034be2c44d"),
+    (("trace", "--n", "70", "--format", "csv"), "917b9305cd3f782184bef4b326765296ff9654282104934cd8573710bd64c3ae"),
+    (("search-exotic", "--from", "2", "--to", "100000"), "50c58c582440da4a63c8f5084a546846f3ff87db87406549562c0ae43b32127e"),
+    (("search-exotic", "--from", "2", "--to", "100000", "--format", "csv"), "5709016a30e2f621f28f7d2b240d8c10c83b06c0d0148e1413764a72ed78e974"),
+    (("verify-theorem", "--limit", "100000"), "2a2eacd9fe0e72fc3f8a1428bbda807661a04d583acb33263d2e28509bc62121"),
+    (("families",), "6089b27eeaf5485c0281674ede633caf0abb41d407b3a266d4dc29a58025ffd2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_OUTPUTS, ids=[" ".join(argv) for argv, _ in GOLDEN_OUTPUTS])
+def test_golden_output(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("GPHI_JOBS", raising=False)
+    code, out, _ = run(capsys, *argv)
+    masked = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    assert (code, hashlib.sha256(masked.encode()).hexdigest()) == (0, digest)
