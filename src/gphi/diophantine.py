@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # euler_phi and sieve_segment go uncalled here; perfbench's tracer test reads both.
-from .arith import _TRIAL_PRIMES, _check_natural, _integer_root, euler_phi, factorize, is_prime, v2
+from .arith import _TRIAL_PRIMES, _check_natural, _integer_root, euler_phi, is_prime, v2
 from .equation import (
     _EXOTIC_SHAPES,
     FAMILIES,
@@ -215,7 +215,7 @@ def classify_range(limit):
     _check_natural(limit)
     if (top := limit // 2) > MAX_SEARCH_VALUE:
         raise SieveRangeError(f"limit {limit} needs the search tree to {top}, past the search maximum {MAX_SEARCH_VALUE}")
-    hits = [(q - 5) // 6 for q in _relaxed_tree(top)[0] if is_prime((4 * q + 1) // 3)]
+    hits = _exotic_hits(top)
     odd_parts = set(_FAMILY_BY_ODD_PART) | {a * m + b for a, b in _EXOTIC_SHAPES.values() for m in hits}
     candidates = {q << ell for q in odd_parts for ell in range(1, (limit // q).bit_length())}
     classes = {n: cls for n in sorted(candidates) if (cls := classify(n)).kind is not SolutionKind.NOT_SOLUTION}
@@ -328,8 +328,8 @@ def _resume(path, search_id, lo, hi, segment_size):
     file at path, or (lo, []) when there is none.  Before any segment is
     sieved it refuses a path whose directory cannot take the file, then a
     checkpoint of another search, progress that is not a segment end of
-    [lo, hi), and hits outside the finished range or failing the condition;
-    each message names the file."""
+    [lo, hi), and a hit list other than the hits of the finished range
+    [lo, done), which _relaxed_tree decides; each message names the file."""
     if path is None:
         return lo, []
     directory = os.path.dirname(os.path.abspath(path))
@@ -343,9 +343,14 @@ def _resume(path, search_id, lo, hi, segment_size):
     done = cp.last_completed_hi
     if not lo <= done <= hi or (done != hi and (done - lo) % segment_size):
         raise CheckpointMismatchError(f"checkpoint file {path}: progress {done} is not a segment end of [{lo}, {hi})")
+    # A hit with p = 8m + 7 < done has its companion (3p - 1)/4 at most (3(done - 1) - 1)/4.
+    expected = [m for m in _exotic_hits((3 * (done - 1) - 1) // 4) if 8 * m + 7 >= lo]
     for m in cp.hits:
-        if not (lo <= 8 * m + 7 < done and _is_exotic(m)):
+        if m not in expected:
             raise CheckpointMismatchError(f"checkpoint file {path}: hit m={m} is not a hit in [{lo}, {done})")
+    for m in expected:
+        if m not in cp.hits:
+            raise CheckpointMismatchError(f"checkpoint file {path}: hit m={m} in [{lo}, {done}) is missing")
     return done, list(cp.hits)
 
 
@@ -391,11 +396,6 @@ def exotic_prime_search(
     return [ExoticWitness(m, 8 * m + 7, 6 * m + 5) for m in hits]
 
 
-# The two-more close of _relaxed_tree tests the primes s in (P, sqrt(X/a)]
-# directly, in one int64 pass, when fewer than this many values lie there,
-# instead of factoring N.  The base primes then reach past X^(1/3) by as much.
-_DIRECT_SPAN = 50_000
-
 # relaxed_search checks the enumerator against the phi scan up to this value:
 # about 60 ms of CPU on a 2-core Xeon, and it holds all four known hits 5, 35,
 # 1295 and 1679615.
@@ -422,38 +422,16 @@ def _scan_hits(top):
     return found
 
 
-def _window_pairs(a, phi_a, s):
-    """The pairs (s, r) of the two-more close of the prefix a, phi(a) = phi_a,
-    over the primes s of an int64 array, each with D*s > F: those where
-    r = (F(s - 1) + 2)/(Ds - F) is an integer above s.
-
-    F = 3*phi(a) and D = F - 2a.  Exact in int64 up to MAX_SEARCH_VALUE:
-    the caller's s are at most sqrt(X/a), so every operand is below
-    F*s < 3a*sqrt(X/a) = 3*sqrt(aX) <= 3X < 2^63."""
-    big_f = 3 * phi_a
-    big_d = big_f - 2 * a
-    num = big_f * (s - 1) + 2
-    den = big_d * s - big_f
-    whole = num % den == 0
-    s, r = s[whole], num[whole] // den[whole]
-    above = r > s
-    return list(zip(s[above].tolist(), r[above].tolist()))
-
-
-def _divisor_pairs(big_f, big_d, big_p):
+def _window_pairs(big_f, big_d, primes):
     """The pairs (s, r) of the two-more close with F = big_f, D = big_d
-    from the divisors d = Ds - F < sqrt(N) of N = F^2 - D(F - 2), with
-    s = (d + F)/D a prime above big_p and r = (N/d + F)/D an integer."""
-    n = big_f * big_f - big_d * (big_f - 2)
-    divisors = [1]
-    for p, e in factorize(n).factors:
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    over the primes s of a list, each with D*s > F: those where
+    r = (F(s - 1) + 2)/(Ds - F) is an integer above s.  Python ints, so
+    exact at any size."""
     pairs = []
-    for d in divisors:
-        if d * d < n and (d + big_f) % big_d == 0 and (n // d + big_f) % big_d == 0:
-            s = (d + big_f) // big_d
-            if s > big_p and is_prime(s):
-                pairs.append((s, (n // d + big_f) // big_d))
+    for s in primes:
+        num, den = big_f * (s - 1) + 2, big_d * s - big_f
+        if num % den == 0 and (r := num // den) > s:
+            pairs.append((s, r))
     return pairs
 
 
@@ -489,25 +467,26 @@ def _relaxed_tree(limit):
     - one more prime r: r*D = F + 2.  Only at the root a = 1 (r = 5); every
       other node comes from a loop below, whose parent's two-more close
       covers its one-more close.
-    - two more primes P < s < r: (Ds - F)(Dr - F) = N = F^2 - D(F - 2), so
-      Ds - F is a divisor of N below sqrt(N), from arith.factorize; when
-      fewer than _DIRECT_SPAN values lie in (P, sqrt(X/a)], where s lies
-      since a*s^2 < a*s*r <= X, _window_pairs tests those base primes
-      instead.  r and a factored s are proven with is_prime.
+    - two more primes P < s < r: (Ds - F)(Dr - F) = N = F^2 - D(F - 2) > 0,
+      so d = Ds - F < sqrt(N) and s <= (F + isqrt(N)) // D; and
+      a*s^2 < a*s*r <= X, so s <= sqrt(X/a).  _window_pairs tests the base
+      primes s in (max(P, F // D), min(isqrt(X/a), (F + isqrt(N)) // D)],
+      and r is proven with is_prime.  Nothing is factored.
     - three or more: the children a*s, for the primes s with Ds > F (that
       is phi(as)/(as) > 2/3), a*s^3 < X and gcd(a, s - 1) = 1 (cyclic),
       up to the first s where _breaks.
-    Every bound is exact integer arithmetic.  A loop's s stays below
-    X^(1/3) and a window ends below P + _DIRECT_SPAN with P < X^(1/3), so
-    base primes up to min(X^(1/3) + _DIRECT_SPAN, sqrt(X)) cover both; a
-    node that would need a prime past them raises
-    InternalInconsistencyError.  The search is D. H. Lehmer's for his
-    totient problem (Bull. AMS 1932): the last prime follows from the
-    cofactor, and phi(q)/q bounds the tree.
+    Every bound is exact integer arithmetic.  A window's s is below
+    (3X)^(1/3): at the root (F = 3, D = 1, N = 8) the clip is s <= 5, and
+    for a > 1, a is odd with primes of at least 5, so phi(a) and D are even,
+    D >= 2, and N < F^2 gives s < 2F/D <= F < 3a; with a*s^2 <= X that is
+    s^3 < 3X.  A loop's s is below X^(1/3).  So base primes up to
+    min((3X)^(1/3) + 1, sqrt(X)) cover both; a node that would need a prime
+    past them raises InternalInconsistencyError.  The search is D. H.
+    Lehmer's for his totient problem (Bull. AMS 1932): the last prime
+    follows from the cofactor, and phi(q)/q bounds the tree.
     """
-    bound = min(_integer_root(limit, 3) + _DIRECT_SPAN, math.isqrt(limit))
-    primes = base_primes(bound) if bound >= 2 else np.empty(0, dtype=np.int64)
-    listed = primes.tolist()
+    bound = min(_integer_root(3 * limit, 3) + 1, math.isqrt(limit))
+    listed = base_primes(bound).tolist() if bound >= 2 else []
     hits, nodes, tried = [], 0, 0
     stack = [(1, 1, 3)]  # (a, phi(a), P): q is prime to 6, so its primes exceed 3
     while stack:
@@ -520,13 +499,10 @@ def _relaxed_tree(limit):
             if big_p < r <= limit // a and is_prime(r):
                 hits.append(a * r)
         first = bisect.bisect_right(listed, max(big_p, big_f // big_d))  # the least s with s > P, Ds > F
-        top = math.isqrt(limit // a)
-        if top - big_p < _DIRECT_SPAN:
-            if top > bound:
-                raise InternalInconsistencyError(f"relaxed tree: prefix {a} needs primes to {top}, past the base primes to {bound}")
-            pairs = _window_pairs(a, phi_a, primes[first : bisect.bisect_right(listed, top)])
-        else:
-            pairs = _divisor_pairs(big_f, big_d, big_p)
+        end = min(math.isqrt(limit // a), (big_f + math.isqrt(big_f * big_f - big_d * (big_f - 2))) // big_d)
+        if end > bound:
+            raise InternalInconsistencyError(f"relaxed tree: prefix {a} needs primes to {end}, past the base primes to {bound}")
+        pairs = _window_pairs(big_f, big_d, listed[first : bisect.bisect_right(listed, end)])
         hits += [a * s * r for s, r in pairs if a * s * r <= limit and is_prime(r)]
         for i in range(first, len(listed)):
             s = listed[i]
@@ -542,6 +518,13 @@ def _relaxed_tree(limit):
             if a * (bound + 1) ** 3 < limit:
                 raise InternalInconsistencyError(f"relaxed tree: prefix {a} runs past the base primes to {bound}")
     return sorted(hits), nodes, tried
+
+
+def _exotic_hits(top):
+    """The m with p = 8m + 7 prime and phi(6m + 5) = 4m + 4, ascending, whose
+    companion q = 6m + 5 = (3p - 1)/4 is at most top: the hits q of
+    _relaxed_tree(top) with (4q + 1)/3 prime."""
+    return [(q - 5) // 6 for q in _relaxed_tree(top)[0] if is_prime((4 * q + 1) // 3)]
 
 
 def relaxed_search(limit):

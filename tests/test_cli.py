@@ -355,7 +355,8 @@ class TestSearchExotic:
         ("search_id exotic:2:1000:32\ncompleted 66\n0\n", "is for 'exotic:2:1000:32', not 'exotic:2:1000:64'"),
         ("search_id exotic:2:1000:64\ncompleted 5000\n0\n", ": progress 5000 is not a segment end of [2, 1000)"),
         ("search_id exotic:2:1000:64\ncompleted 66\n0\n2\n", ": hit m=2 is not a hit in [2, 66)"),
-    ], ids=["search-id", "progress", "hit"])
+        ("search_id exotic:2:1000:64\ncompleted 66\n", ": hit m=0 in [2, 66) is missing"),
+    ], ids=["search-id", "progress", "hit", "missing-hit"])
     def test_mismatched_checkpoint_names_the_file(self, capsys, tmp_path, content, reason):
         path = tmp_path / "cp.txt"
         path.write_text(content)
@@ -506,12 +507,17 @@ class TestOrbit:
     # g(v) factors v before it finds that v + phi(v) overflows; the successor
     # map records the overflow, so the note's walk does not factor v again.
     # At 192 bits g(3 * 2^190) overflows; with the width cut to 20 bits the
-    # orbit of 3 stops at 804573.
-    @pytest.mark.parametrize("n, width, last", [(1 << 191, arith.NATURAL_MAX, 3 << 190), (3, (1 << 20) - 1, 804573)])
+    # orbit of 3 stops at 804573, and that of the paper's 10 at 917504
+    # (k = 33), past its one relation (r, multiplier, verified_to_k, persistent).
+    @pytest.mark.parametrize("n, width, last", [
+        (1 << 191, arith.NATURAL_MAX, 3 << 190), (3, (1 << 20) - 1, 804573), (10, (1 << 20) - 1, 917504),
+    ])
     def test_factors_an_overflowing_value_once(self, capsys, monkeypatch, factorize_calls, n, width, last):
         monkeypatch.setattr(arith, "NATURAL_MAX", width)
         orbit = arith.iterate_g(n, 64)
         expected = emitted(orbits.detect_relations(n, 64, 2))
+        relations = [(rec["r"], rec["multiplier"], rec["verified_to_k"], rec["persistent"]) for rec in expected]
+        assert relations == ([(2, 2, 31, "proven_forever")] if n == 10 else [])
         factorize_calls.clear()
         code, out, _ = run(capsys, "orbit", "--n", str(n), "--kmax", "64", "--rmax", "2")
         records, summary = json_records(out)

@@ -1,3 +1,4 @@
+import bisect
 import math
 import re
 import time
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import sympy
 
-from gphi import diophantine, sieve
+from gphi import arith, diophantine, sieve
 from gphi.arith import euler_phi, factorize, is_prime, odd_part, v2
 from gphi.diophantine import (
     MAX_EXOTIC_SEGMENT,
@@ -594,6 +595,25 @@ class TestExoticSearch:
         with pytest.raises(CheckpointMismatchError):
             exotic_prime_search(2, 2000, segment_size=64, checkpoint_path=path)
 
+    # A part-way checkpoint of [2, 2000) at 1730 holds exactly the hits 0
+    # and 5 (p = 7, 47); one hit line deleted, added or changed is refused
+    # before anything is sieved, and the file is left as it was.
+    @pytest.mark.parametrize("hits, reason", [
+        ((0,), "hit m=5 in [2, 1730) is missing"),
+        ((5,), "hit m=0 in [2, 1730) is missing"),
+        ((0, 5, 11), "hit m=11 is not a hit in [2, 1730)"),
+        ((0, 6), "hit m=6 is not a hit in [2, 1730)"),
+    ], ids=["deleted-5", "deleted-0", "added", "changed"])
+    def test_part_way_checkpoint_lists_every_hit(self, tmp_path, hits, reason):
+        path = tmp_path / "part.ckpt"
+        write_checkpoint(path, SearchCheckpoint("exotic:2:2000:64", 2 + 27 * 64, (0, 5)))
+        assert exotic_prime_search(2, 2000, segment_size=64, checkpoint_path=path) == exotic_prime_search(2, 2000)
+        write_checkpoint(path, SearchCheckpoint("exotic:2:2000:64", 2 + 27 * 64, hits))
+        content = path.read_bytes()
+        with pytest.raises(CheckpointMismatchError, match=re.escape(f"checkpoint file {path}: {reason}")):
+            exotic_prime_search(2, 2000, segment_size=64, checkpoint_path=path)
+        assert path.read_bytes() == content
+
     def test_finished_checkpoint_resumes_to_same_hits(self, tmp_path):
         # 2000 is off the 64-grid from 2: the last segment is a short one
         path = tmp_path / "done.ckpt"
@@ -805,31 +825,67 @@ class TestRelaxedTree:
         assert broken > 1000
         assert sorted(hits) == diophantine._relaxed_tree(limit)[0] == [5, 35, 1295, 1679615]
 
-    # The int64 window test against the same test in Python ints: at the
-    # search maximum on the prefix 13*17*19*23*29*31*41*61, a node of the
-    # tree there with the largest operands among those that test 500 primes
-    # or more, and on the prefix 35, where it finds the pair (37, 1297) of
+    # The window test against a reference list comprehension: at the search
+    # maximum on the prefix 13*17*19*23*29*31*41*61, over its whole window
+    # (P, sqrt(X/a)] of more than 500 primes with operands past 2^50, and on
+    # the prefix 35, where it finds the pair (37, 1297) of
     # 1679615 = 35 * 37 * 1297.
     def test_window_test_is_exact_at_the_search_maximum(self):
         def python_pairs(a, phi_a, s):
             f, d = 3 * phi_a, 3 * phi_a - 2 * a
-            pairs = [(p, (f * (p - 1) + 2) // (d * p - f)) for p in s.tolist() if (f * (p - 1) + 2) % (d * p - f) == 0]
+            pairs = [(p, (f * (p - 1) + 2) // (d * p - f)) for p in s if (f * (p - 1) + 2) % (d * p - f) == 0]
             return [(p, r) for p, r in pairs if r > p]
 
         a = 13 * 17 * 19 * 23 * 29 * 31 * 41 * 61
         phi_a = 12 * 16 * 18 * 22 * 28 * 30 * 40 * 60
-        top = math.isqrt(MAX_SEARCH_VALUE // a)
-        assert top - 61 < diophantine._DIRECT_SPAN
-        s = sieve.base_primes(top)
-        s = s[s > max(61, 3 * phi_a // (3 * phi_a - 2 * a))]
-        assert s.size > 500
-        assert 2 ** 50 < 3 * phi_a * int(s[-1]) < 3 * math.isqrt(a * MAX_SEARCH_VALUE)
-        assert diophantine._window_pairs(a, phi_a, s) == python_pairs(a, phi_a, s)
-        s = sieve.base_primes(2000)
-        s = s[s > 36]  # F = 72, D = 2
-        pairs = diophantine._window_pairs(35, 24, s)
+        f, d = 3 * phi_a, 3 * phi_a - 2 * a
+        s = [p for p in sieve.base_primes(math.isqrt(MAX_SEARCH_VALUE // a)).tolist() if p > max(61, f // d)]
+        assert len(s) > 500
+        assert f * s[-1] > 2 ** 50
+        assert diophantine._window_pairs(f, d, s) == python_pairs(a, phi_a, s)
+        s = [p for p in sieve.base_primes(2000).tolist() if p > 36]  # F = 72, D = 2
+        pairs = diophantine._window_pairs(72, 2, s)
         assert pairs == python_pairs(35, 24, s)
         assert dict(pairs)[37] == 1297
+
+    # Every node of the tree to 10^12 (a = (F - D)/2, P its largest prime, 3
+    # at the root): the window clipped at d = Ds - F < sqrt(N) gives the
+    # pairs of the whole window (P, sqrt(X/a)], and those of the divisors
+    # d < sqrt(N) of N = F^2 - D(F - 2) with s = (d + F)/D a prime in it;
+    # every clipped end stays within the base primes.
+    def test_the_clipped_window_loses_no_pair(self, monkeypatch):
+        limit = 10 ** 12
+        windows = []
+        close = diophantine._window_pairs
+        monkeypatch.setattr(diophantine, "_window_pairs",
+                            lambda f, d, primes: windows.append((f, d)) or close(f, d, primes))
+        assert diophantine._relaxed_tree(limit) == ([5, 35, 1295, 1679615], 943, 1780)
+        assert len(windows) == 943
+        primes = sieve.base_primes(math.isqrt(limit)).tolist()
+        bound = min(diophantine._integer_root(3 * limit, 3) + 1, math.isqrt(limit))
+        ends, found = [], 0
+        for f, d in windows:
+            a = (f - d) // 2
+            big_p = max(sympy.primefactors(a), default=3)
+            n = f * f - d * (f - 2)
+            top = math.isqrt(limit // a)
+            end = min(top, (f + math.isqrt(n)) // d)
+            ends.append(end)
+            window = primes[bisect.bisect_right(primes, max(big_p, f // d)) : bisect.bisect_right(primes, top)]
+            pairs = close(f, d, [s for s in window if s <= end])
+            assert pairs == close(f, d, window), a
+            divisor_pairs = [((x + f) // d, (n // x + f) // d) for x in sympy.divisors(n)
+                             if x * x < n and (x + f) % d == 0 and (n // x + f) % d == 0]
+            assert pairs == [(s, r) for s, r in divisor_pairs if big_p < s <= top and is_prime(s)], a
+            found += len(pairs)
+        assert found > 0
+        assert max(ends) <= bound
+
+    # The tree factors nothing: diophantine does not import factorize.
+    def test_factors_nothing(self, monkeypatch):
+        monkeypatch.setattr(arith, "factorize", lambda n: pytest.fail(f"factorized {n}"))
+        assert not hasattr(diophantine, "factorize")
+        assert diophantine._relaxed_tree(10 ** 14) == ([5, 35, 1295, 1679615], 10394, 17725)
 
     # A relaxed hit q with p = (4q + 1)/3 prime is the companion of the exotic
     # prime p, and the other way round.
