@@ -326,12 +326,15 @@ def _exotic_segment(bounds):
 def _resume(path, search_id, lo, hi, segment_size):
     """(start, hits) of the search search_id on [lo, hi) from the checkpoint
     file at path, or (lo, []) when there is none.  Before any segment is
-    sieved it refuses a path whose directory cannot take the file, then a
-    checkpoint of another search, progress that is not a segment end of
-    [lo, hi), and a hit list other than the hits of the finished range
+    sieved it refuses a path that names no file (empty, ending in a
+    separator, or an existing directory) or whose directory cannot take the
+    file, then a checkpoint of another search, progress that is not a segment
+    end of [lo, hi), and a hit list other than the hits of the finished range
     [lo, done), which _relaxed_tree decides; each message names the file."""
     if path is None:
         return lo, []
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ValueError(f"checkpoint {path}: names no file")
     directory = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
         raise ValueError(f"checkpoint {path}: {directory} is not a writable directory")

@@ -399,7 +399,9 @@ class SearchCheckpoint:
 
 
 def write_checkpoint(path, checkpoint):
-    """Write a checkpoint atomically (temp file + rename)."""
+    """Write a checkpoint atomically and durably: the temp file is synced,
+    renamed over path, and then its directory is synced, so a crash after
+    the rename cannot lose the file."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         fh.write(f"search_id {checkpoint.search_id}\n")
@@ -409,6 +411,11 @@ def write_checkpoint(path, checkpoint):
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def read_checkpoint(path):

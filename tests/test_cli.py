@@ -338,6 +338,25 @@ class TestSearchExotic:
         assert ".tmp" not in err
         assert not (tmp_path / "missing").exists()
 
+    # A path that names no file, being empty, ending in a separator or an
+    # existing directory, is refused before any segment with one line naming
+    # it, and no temp file is left behind.
+    @pytest.mark.parametrize("path", ["", "missing/", "taken/", "taken"])
+    def test_checkpoint_path_naming_no_file_is_usage_error(self, capsys, tmp_path, monkeypatch, path):
+        def fail(*args, **kwargs):
+            raise RuntimeError("sieved")
+
+        monkeypatch.setattr(diophantine, "_exotic_segment", fail)
+        monkeypatch.setattr(sieve, "_primes_to", fail)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        code, out, err = run(
+            capsys, "search-exotic", "--from", "2", "--to", "1000", "--checkpoint", path
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: checkpoint {path}: names no file\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
     def test_tampered_checkpoint_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "cp.txt"
         path.write_text("search_id exotic:2:1000:64\ncompleted 5000\n0\n5\n999999\n")
@@ -764,32 +783,110 @@ class TestJobs:
         assert err.startswith("error: --jobs") and err.count("\n") == 1
 
 
-# Every record shape of every command, pinned byte for byte: the exit code
-# and the sha256 of stdout with elapsed_ms masked, so key order, CSV headers
-# and enum spelling cannot drift in a refactor.
+# Every record shape and every refusal of every command, pinned byte for
+# byte: the exit code, the sha256 of stdout and of stderr with elapsed_ms
+# masked, and the bytes of every file the run leaves in its directory, so key
+# order, CSV headers, enum spelling, messages and checkpoints cannot drift in
+# a refactor.
+EMPTY = hashlib.sha256(b"").hexdigest()
+CKPT = "c.ckpt"
+EXOTIC_1E6 = ("search-exotic", "--from", "2", "--to", "1000000", "--segment-size", "131072", "--progress")
+EXOTIC_1E3 = ("search-exotic", "--from", "2", "--to", "1000", "--segment-size", "64", "--checkpoint", CKPT)
+COMPLETE = b"search_id exotic:2:1000000:131072\ncompleted 1000000\n0\n5\n"
+TOO_HIGH = str(diophantine.MAX_SEARCH_VALUE + 1)
+
+
+def golden(argv, out, err=EMPTY, code=0, files=None, given=None, env=None, id=None):
+    """A row of the golden table: gphi <argv> run in an empty directory, which
+    holds the checkpoint file CKPT with the bytes given, if any, under the
+    extra environment variables env."""
+    return pytest.param(argv, given, env or {}, (code, out, err, files or {}), id=id or " ".join(argv))
+
+
+def refused(argv, err, **row):
+    """A row that exits 2 with nothing on stdout."""
+    return golden(argv, EMPTY, err, code=2, **row)
+
+
+def refused_checkpoint(given, err, id):
+    """A row that refuses the checkpoint file given and leaves it as it was."""
+    return refused(EXOTIC_1E3, err, files={CKPT: given}, given=given, id=id)
+
+
 GOLDEN_OUTPUTS = [
-    (("orbit", "--n", "3114"), "d4ce92e51a2e1bfa46b0cf6cebd0f36897b0129453519d03d66b97d34f96597e"),
-    (("orbit", "--n", "6", "--format", "csv"), "2ed96ea0293525db1080bd1bc2aecb65a72b08d36626cd0346f6b2f38c5ddca7"),
-    (("orbit", "--n", str(2**100), "--kmax", "64"), "5a40d92b578bae6c6c641145b1d7b0be4eba5156f89e843354549941675c0968"),
-    (("scan-orbits", "--limit", "300"), "8485e2f7e9af4d360789e4ad068d2c225de21e4b03c6f2969f4c4ee179711447"),
-    (("scan-orbits", "--limit", "60", "--format", "csv"), "58dd9e69435ba490d472ef21e1437ba041b663e54408f45cfbc7505b0b6d0424"),
-    (("solutions", "--limit", "100000", "--method", "classify"), "8158b6f4d7debb42df488450cf3ab3c340f8f48ca6a558022044c072f9e24d37"),
-    (("solutions", "--limit", "5000", "--method", "both"), "aea573d8c0ab69fda67bd1086b47eb25561a86d136d2d2c3b3214e4dbef00a9f"),
-    (("solutions", "--limit", "5000", "--method", "both", "--format", "csv"), "18857cba135795a4478d04412f54ed68d6465182212053c84493431124d752fb"),
-    (("trace", "--n", "70"), "403fd80fc0cc041d806b2683aaf6bf00c579084293d68335596a587ad4ee235a"),
-    (("trace", "--n", "94"), "97e2e2f84f742f45c28c039fc8277c1ea94a285868567972c4b6ea46ef3afd65"),
-    (("trace", "--n", "12"), "64ac2b3189f930acda9a9a686250caa9e9d16ea436afb999e2d16c034be2c44d"),
-    (("trace", "--n", "70", "--format", "csv"), "917b9305cd3f782184bef4b326765296ff9654282104934cd8573710bd64c3ae"),
-    (("search-exotic", "--from", "2", "--to", "100000"), "50c58c582440da4a63c8f5084a546846f3ff87db87406549562c0ae43b32127e"),
-    (("search-exotic", "--from", "2", "--to", "100000", "--format", "csv"), "5709016a30e2f621f28f7d2b240d8c10c83b06c0d0148e1413764a72ed78e974"),
-    (("verify-theorem", "--limit", "100000"), "2a2eacd9fe0e72fc3f8a1428bbda807661a04d583acb33263d2e28509bc62121"),
-    (("families",), "6089b27eeaf5485c0281674ede633caf0abb41d407b3a266d4dc29a58025ffd2"),
+    golden(("orbit", "--n", "3114"), "d4ce92e51a2e1bfa46b0cf6cebd0f36897b0129453519d03d66b97d34f96597e"),
+    golden(("orbit", "--n", "6", "--format", "csv"), "2ed96ea0293525db1080bd1bc2aecb65a72b08d36626cd0346f6b2f38c5ddca7", "a3988935742ea40cfb09fc887b350dab01d20b3e1b39250c766a438542539706"),
+    golden(("orbit", "--n", str(2**100), "--kmax", "64"), "5a40d92b578bae6c6c641145b1d7b0be4eba5156f89e843354549941675c0968"),
+    golden(("scan-orbits", "--limit", "300"), "8485e2f7e9af4d360789e4ad068d2c225de21e4b03c6f2969f4c4ee179711447"),
+    golden(("scan-orbits", "--limit", "60", "--format", "csv"), "58dd9e69435ba490d472ef21e1437ba041b663e54408f45cfbc7505b0b6d0424", "024c40d3583a2b37f3b5a148c45b52e6ec2d6e533a205899afd61f6a727d07be"),
+    golden(("solutions", "--limit", "100000", "--method", "classify"), "8158b6f4d7debb42df488450cf3ab3c340f8f48ca6a558022044c072f9e24d37"),
+    golden(("solutions", "--limit", "5000", "--method", "both"), "aea573d8c0ab69fda67bd1086b47eb25561a86d136d2d2c3b3214e4dbef00a9f"),
+    golden(("solutions", "--limit", "5000", "--method", "both", "--format", "csv"), "18857cba135795a4478d04412f54ed68d6465182212053c84493431124d752fb", "436ef4be437239c9bb49f77422f43741159b80f7ac3ac07309acff28b8ff1099"),
+    golden(("trace", "--n", "70"), "403fd80fc0cc041d806b2683aaf6bf00c579084293d68335596a587ad4ee235a"),
+    golden(("trace", "--n", "94"), "97e2e2f84f742f45c28c039fc8277c1ea94a285868567972c4b6ea46ef3afd65"),
+    golden(("trace", "--n", "12"), "64ac2b3189f930acda9a9a686250caa9e9d16ea436afb999e2d16c034be2c44d"),
+    golden(("trace", "--n", "70", "--format", "csv"), "917b9305cd3f782184bef4b326765296ff9654282104934cd8573710bd64c3ae", "2056741cd13089e48e8e6176b00b3a917b83fd32430d4ca85efe666e63e7adbf"),
+    golden(("search-exotic", "--from", "2", "--to", "100000"), "50c58c582440da4a63c8f5084a546846f3ff87db87406549562c0ae43b32127e"),
+    golden(("search-exotic", "--from", "2", "--to", "100000", "--format", "csv"), "5709016a30e2f621f28f7d2b240d8c10c83b06c0d0148e1413764a72ed78e974", "dcc7b8a1b0c82a101e8e3d74aaa136604958037b7bf54d3877a17647b66f8d3d"),
+    golden(("verify-theorem", "--limit", "100000"), "2a2eacd9fe0e72fc3f8a1428bbda807661a04d583acb33263d2e28509bc62121"),
+    golden(("families",), "6089b27eeaf5485c0281674ede633caf0abb41d407b3a266d4dc29a58025ffd2"),
+    golden(("verify-theorem", "--limit", "100000", "--format", "csv"), EMPTY,
+           "2a2eacd9fe0e72fc3f8a1428bbda807661a04d583acb33263d2e28509bc62121"),
+    golden(("solutions", "--limit", "5000", "--method", "brute", "--format", "csv"),
+           "3e62a065031b23c7ce0518dddb8c591ceca24aac30e402ed700e3793e9989217",
+           "2df5faf6e5475fe2395e18c63ce8a75fa7e15b2e1f26a99b1ff491996947a8bf"),
+    golden(("search-relaxed", "--limit", "10000000"), "bb637cbe3c412908d020f47fd63571f9d830b5c1bf78f4a9aa2549b3fc7fce89"),
+    golden(("search-relaxed", "--limit", "10000000", "--format", "csv"), "e8511e97eb7988683d0df7b7dce71ea8126ec00f9c867a2fa656183f83967bc6", "6c5f788049bfc776ff0d7a8509b3584a86f08e4f3b7e9aaa2048387836a0eca8"),
+    # The search with per-segment progress: fresh, with a checkpoint, resumed
+    # from the finished file and from one written after two segments.
+    golden(EXOTIC_1E6, "aa2f5d246c3961834b602324146e332725c39c4630d7d325e8434f3678ca3ddb", "ccc59818a5aec67ce7c3247fe3882b561043052b3f7a4d152d63a2762277d577"),
+    golden(EXOTIC_1E6 + ("--checkpoint", CKPT), "fe25c9ae22281a819e4b6b624954e7df7154bc990de23f12a895d97e4fb57003", "ccc59818a5aec67ce7c3247fe3882b561043052b3f7a4d152d63a2762277d577", files={CKPT: COMPLETE}),
+    golden(EXOTIC_1E6 + ("--checkpoint", CKPT), "fe25c9ae22281a819e4b6b624954e7df7154bc990de23f12a895d97e4fb57003", EMPTY, files={CKPT: COMPLETE},
+           given=COMPLETE, id="resumed from the end"),
+    golden(EXOTIC_1E6 + ("--checkpoint", CKPT), "fe25c9ae22281a819e4b6b624954e7df7154bc990de23f12a895d97e4fb57003", "197a42c8e76e2fa7d87a15f6aa48c44bacae93936ab06a5f97eae18627b13ddd", files={CKPT: COMPLETE},
+           given=b"search_id exotic:2:1000000:131072\ncompleted 262146\n0\n5\n", id="resumed part-way"),
+    # Every refusal exits 2 with one line on stderr and nothing on stdout.
+    refused(("search-exotic", "--from", "10", "--to", "5"), "f15fcbede280ad2633ae5fec741d9e3483b774b6ef077befaaa52424a6ef8a85"),
+    refused(("search-exotic", "--from", "2", "--to", TOO_HIGH), "2c25e66efcc5b1abdca19bcf849380673a1c9a8222760e8067b43fdc75329c5f"),
+    refused(("search-exotic", "--from", "2", "--to", "1000", "--segment-size", "4"), "b1deb19dc6bbe7ab15bf08ae2c22749ca4026b6b88174c0ae86b4e6f1d866d75"),
+    refused(("search-exotic", "--from", "2", "--to", "1000", "--jobs", "0"), "6b2e1549400c6077a12790ce74c2d56a1ad4dd931b7e164284c1ca77099aec63"),
+    refused(("scan-orbits", "--limit", "2"), "40314c2b2cebdd942891227ac2a855e2b601c430f9d9eef555dcfe4a7c9d55da",
+            env={"GPHI_JOBS": "abc"}, id="GPHI_JOBS=abc scan-orbits --limit 2"),
+    refused(("search-relaxed", "--limit", TOO_HIGH), "613da29310665d7f7cf004dd7053f84f49a16cc8f1bdef34d9525b6478cc81be"),
+    refused(("verify-theorem", "--limit", "10000000001"), "94bdf88f26999937cfec46d78fc2c6c319048ddefedbd3de75f68720f685d618"),
+    refused(("solutions", "--method", "classify", "--limit", str(2 * diophantine.MAX_SEARCH_VALUE + 2)),
+            "1727de82d19da826f58cab7884febdf4ebf037fdeeafd984cbd301a5fe47a565"),
+    refused(("solutions", "--limit", "0"), "a109fc24269e8e95db7fabe8bce4021d390c0f557939c0e182f9d407249a3363"),
+    refused(("families", "--m", "5"), "b567c9b1ed98903c5dc41f58e1d8b735acee559dbdd289dc4063202bbae04f45"),
+    refused(("families", "--max-exponent", "200"), "c4dbde1b5834c181bba0c9c7b3c7319fd49e6696ca8dfbeab54b708909fb103d"),
+    refused(("families", "--kind", "exotic_a", "--m", "4"), "8af9ac56b245dd8e72fb89079d888d6ae1dc2e90aa248dc3d20e5436a6497465"),
+    refused(("trace", "--n", str(2**192)), "1556f13a8fe8e8ba43d60ac2f41ddff9b1e8925b8eefd88b815c38ae36f7ae13"),
+    refused(("trace", "--n", "2"), "15c01e9f82becc0835ca41b8c3b0542db987464f6faf34a1acf13a77ad4618d5"),
+    refused(("orbit", "--n", "5", "--kmax", "3", "--rmax", "5"), "515506eb5df18a48ec86c399ef69986aa99d37598a9096e2809177a1f9dcd3a8"),
+    refused(("scan-orbits", "--limit", "1"), "97ed3edb567367b7975b9ea1b9b0901477796569134392f67b9da0aa7ec218ad"),
+    refused_checkpoint(b"search_id exotic:2:1000:32\ncompleted 66\n0\n", "726a1cf59aabc91a677a73668f1dc2fd31cab0b6851de0decf6170d7ec13d259", "checkpoint of another search"),
+    refused_checkpoint(b"search_id exotic:2:1000:64\ncompleted 5000\n0\n", "bdb81bcfb49d55dfd7da6c29fb279bd7513f0b336c0884bca944daa02fcaa774", "checkpoint progress past the range"),
+    refused_checkpoint(b"search_id exotic:2:1000:64\ncompleted 66\n0\n2\n", "e50081c55fca38858d6dccad17e0425292c56511ab77136a1be03adb167fc023", "checkpoint with a false hit"),
+    refused_checkpoint(b"search_id exotic:2:1000:64\ncompleted 66\n", "282cb521b183253ad7e760384fe7eda23382e5b805a163befe510b834034fc4d", "checkpoint missing a hit"),
+    refused_checkpoint(b"search_id exotic:2:1000:64\ncompleted abc\n", "f81a7b93f83288cfcf88942fb7107220654e08ac2ec9ce6ffcfb6a89131dc053", "malformed checkpoint"),
+    # A checkpoint path that names no file is refused before any segment.
+    refused(("search-exotic", "--from", "2", "--to", "1000", "--checkpoint", ""),
+            "d99263c1611be06ad676f6625934d062db5d33ca319c7390a56ce2a98263a031",
+            id="search-exotic --from 2 --to 1000 --checkpoint ''"),
+    refused(("search-exotic", "--from", "2", "--to", "1000", "--checkpoint", "."), "f3679a137e60bde5a027d3708facc4cbce958618957880ac6845e638da7ce0b9"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_OUTPUTS, ids=[" ".join(argv) for argv, _ in GOLDEN_OUTPUTS])
-def test_golden_output(capsys, monkeypatch, argv, digest):
+@pytest.mark.parametrize("argv, given, env, expected", GOLDEN_OUTPUTS)
+def test_golden_output(capsys, monkeypatch, tmp_path, argv, given, env, expected):
     monkeypatch.delenv("GPHI_JOBS", raising=False)
-    code, out, _ = run(capsys, *argv)
-    masked = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
-    assert (code, hashlib.sha256(masked.encode()).hexdigest()) == (0, digest)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    if given is not None:
+        (tmp_path / CKPT).write_bytes(given)
+    code, out, err = run(capsys, *argv)
+    digests = [hashlib.sha256(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text).encode()).hexdigest()
+               for text in (out, err)]
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert (code, *digests, files) == expected

@@ -254,3 +254,19 @@ def test_the_shape_rules_have_one_owner():
     called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert "classify" in called
     assert "SolutionClass" not in called
+
+
+# The doubling law's persistence certificate is spelled once, in
+# orbits._doubling_refusal: detect_relations and doubling_persistence both
+# ask it, and orbits binds no g to re-derive the equation with.
+def test_the_persistence_certificate_has_one_owner():
+    import ast
+
+    import gphi.orbits
+
+    for function in (gphi.orbits.detect_relations, gphi.orbits.doubling_persistence):
+        tree = ast.parse(inspect.getsource(function))
+        called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert "_doubling_refusal" in called, function.__name__
+    assert not hasattr(gphi.orbits, "_is_power_of_two")
+    assert not hasattr(gphi.orbits, "g")

@@ -74,6 +74,12 @@ class TestDoublingPersistence:
         assert not result.proven
         assert "729" in result.reason
 
+    # Odd values have odd orbits past 1, so g_1(1) = 2 = 2 * g_0(1) is the
+    # one power-of-2 relation with an odd anchor, and g_2(1) = 3 breaks it.
+    def test_refusal_for_odd_anchor(self):
+        result = doubling_persistence(1, 0, 1)
+        assert (result.proven, result.multiplier, result.reason) == (False, 2, "anchor value 1 is odd")
+
     def test_refusal_without_integer_multiplier(self):
         result = doubling_persistence(7, 0, 1)
         assert not result.proven and "multiplier" in result.reason
@@ -82,11 +88,22 @@ class TestDoublingPersistence:
         with pytest.raises(NaturalOverflowError):
             doubling_persistence(1 << 191, 3, 2)
 
-    def test_certified_relations_really_propagate(self):
-        # spot-check the induction: once certified, later ks keep the ratio
-        values = iterate_g(10, 30).values
-        for k in range(0, 29 - 2):
-            assert values[k + 2] == 2 * values[k]
+    # The one certificate from both sides: on every relation of a scan,
+    # detect_relations marks it proven exactly when doubling_persistence
+    # certifies it, and a proven relation holds on the whole computed orbit
+    # from k0 on.
+    def test_certificate_agrees_with_detection_and_holds(self):
+        relations = list(scan_orbits(300, 40, 9))
+        proven = [rel for rel in relations if rel.persistent is Persistence.PROVEN_FOREVER]
+        assert (len(relations), len(proven)) == (608, 520)
+        for rel in relations:
+            cert = doubling_persistence(rel.n, rel.k0, rel.r)
+            assert (cert.proven, cert.multiplier) == (rel.persistent is Persistence.PROVEN_FOREVER, rel.multiplier), rel
+        for rel in proven:
+            values = iterate_g(rel.n, 64).values
+            assert len(values) == 65
+            for k in range(rel.k0, 65 - rel.r):
+                assert values[k + rel.r] == rel.multiplier * values[k], (rel, k)
 
     @given(st.integers(min_value=1, max_value=500_000))
     @settings(max_examples=200)
@@ -106,6 +123,11 @@ class TestReduceToDiophantine:
     def test_orbit_of_1(self):
         # 1 -> 2 -> 3 -> 5 -> 9 -> 15: the oracle rejects every one
         assert reduce_to_diophantine(1, 5) is None
+
+    # 3 * 2^190 solves the equation, and g applied to it leaves the width:
+    # the reduction answers k = 0 without stepping past the solution.
+    def test_solution_at_the_width(self):
+        assert reduce_to_diophantine(3 * 2**190, 1) == (0, 3 * 2**190)
 
     def test_equivalence_with_detected_doubling(self):
         # g_{k+2} = 2 g_k appears in the orbit iff the orbit hits a solution

@@ -2,6 +2,7 @@ import bisect
 import math
 import os
 import random
+import stat
 import tracemalloc
 
 import numpy as np
@@ -634,13 +635,26 @@ class TestCheckpoint:
         write_checkpoint(path, SearchCheckpoint("exotic:2:100:64", 66, (0, 5)))
         assert path.read_text() == "search_id exotic:2:100:64\ncompleted 66\n0\n5\n"
 
+    # The file is synced before the rename, and its directory after it, so
+    # a crash at any point leaves the old or the new checkpoint.
     def test_fsync_before_rename(self, tmp_path, monkeypatch):
         events = []
         fsync, replace = os.fsync, os.replace
-        monkeypatch.setattr(os, "fsync", lambda fd: events.append("fsync") or fsync(fd))
-        monkeypatch.setattr(os, "replace", lambda a, b: events.append("replace") or replace(a, b))
-        write_checkpoint(tmp_path / "search.ckpt", SearchCheckpoint("x", 10, ()))
-        assert events == ["fsync", "replace"]
+
+        def synced(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", "directory" if stat.S_ISDIR(info.st_mode) else "file", info.st_ino))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", synced)
+        monkeypatch.setattr(os, "replace", lambda a, b: events.append(("replace",)) or replace(a, b))
+        path = tmp_path / "search.ckpt"
+        write_checkpoint(path, SearchCheckpoint("x", 10, ()))
+        assert events == [
+            ("fsync", "file", path.stat().st_ino),
+            ("replace",),
+            ("fsync", "directory", tmp_path.stat().st_ino),
+        ]
 
     def test_rejects_unsorted_hits(self):
         with pytest.raises(ValueError):
