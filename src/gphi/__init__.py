@@ -2,10 +2,11 @@
 phi(n) + phi(n + phi(n)) = n, segmented totient searches, and orbit
 relations g_{k+r}(n) = M * g_k(n).
 
-The scalar modules (arith, equation, orbits) are imported with the package.
-The names of the bulk modules, diophantine and sieve, which need numpy, are
-served on first use by __getattr__ and never stored here, so that a name
-read while a tracer has rebound it in its module is not kept afterwards."""
+The scalar modules (arith, equation with classify, orbits) are imported
+with the package.  The names of the bulk modules, diophantine and sieve,
+which need numpy, are served on first use by __getattr__ and never stored
+here, so that a name read while a tracer has rebound it in its module is
+not kept afterwards."""
 
 import importlib
 
@@ -27,9 +28,11 @@ from .arith import (
 from .equation import (
     InternalInconsistencyError,
     ProofTrace,
+    SolutionClass,
     SolutionKind,
     TraceCase,
     case_trace,
+    classify,
     family_members,
     is_solution,
 )
@@ -50,9 +53,7 @@ _BULK = {
     **dict.fromkeys(
         (
             "ExoticWitness",
-            "SolutionClass",
             "brute_force_solutions",
-            "classify",
             "classify_range",
             "exotic_prime_search",
             "relaxed_search",

@@ -1,19 +1,16 @@
-"""Solving and classifying phi(n) + phi(n + phi(n)) = n.
+"""Solving and classifying phi(n) + phi(n + phi(n)) = n in bulk.
 
 The brute-force enumerator is the independent oracle: it evaluates the
 equation directly from bulk totient tables and never consults the
-classifier.  classify() goes the other way, matching n against the known
-solution shapes and then confirming every positive match against the
-equation, so a transcription bug turns into a loud error instead of a
-wrong answer.  classify_range() runs classify on the few candidates of a
-whole sweep, the family odd parts and the exotic ones of the search tree
-below, and checks a sample of each range for a solution it missed.
-relaxed_search() solves 3*phi(q) = 2q + 2 on a search tree of prefixes of
-q's primes, held to a phi scan of [2, 2^21] in every run.
-
-The scalar side (is_solution, the solution shapes, family_members and
-case_trace) lives in equation, which needs no numpy; its names are
-re-exported here.
+classifier.  The classifier, equation.classify, goes the other way: it
+matches n against the known solution shapes and confirms every positive
+match against the equation, so a transcription bug turns into a loud
+error instead of a wrong answer.  classify_range() runs classify on the
+few candidates of a whole sweep, the family odd parts and the exotic ones
+of the search tree below, and checks a sample of each range for a
+solution it missed.  relaxed_search() solves 3*phi(q) = 2q + 2 on a
+search tree of prefixes of q's primes, held to a phi scan of [2, 2^21]
+in every run.
 """
 
 from __future__ import annotations
@@ -30,21 +27,19 @@ import numpy as np
 from .arith import _TRIAL_PRIMES, _check_natural, _integer_root, euler_phi, is_prime, v2
 from .equation import (
     _EXOTIC_SHAPES,
-    FAMILIES,
+    _FAMILY_BY_ODD_PART,
     InternalInconsistencyError,
-    ProofTrace,
+    SolutionClass,
     SolutionKind,
-    TraceCase,
     _is_exotic,
-    case_trace,
-    family_members,
-    is_solution,
+    classify,
 )
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     SearchCheckpoint,
     SegmentTooLargeError,
     SieveRangeError,
+    _checkpoint_temp,
     _first_index,
     base_primes,
     primes_in_class,
@@ -150,50 +145,6 @@ def brute_force_solutions(limit):
         hits += _unit_hits(table, start, start, table[: max(0, min(end, limit + 1) - start)])
         del table  # so the next unit's table is filled without this one alive
     return sorted(hits)
-
-
-# The family index of classify and classify_range: odd part q -> (kind, least ell).
-_FAMILY_BY_ODD_PART = {q: (kind, least) for kind, (q, least) in FAMILIES.items()}
-
-
-@dataclass(frozen=True)
-class SolutionClass:
-    """Which branch of the solution structure n falls into."""
-
-    kind: SolutionKind
-    ell: int
-    exotic_m: int = None
-
-
-def classify(n):
-    """Match n = 2^ell * q against the known solution shapes.
-
-    Named family tags take precedence over the exotic forms (the known
-    exotic parameters m = 0, 5 reproduce odd parts 7, 5, 47, 35), so the
-    classification is a function of n.  Every positive match is confirmed
-    against the defining equation before it is returned.
-    """
-    _check_natural(n)
-    ell = v2(n)
-    q = n >> ell
-    kind = SolutionKind.NOT_SOLUTION
-    exotic_m = None
-    if q in _FAMILY_BY_ODD_PART:
-        family, least = _FAMILY_BY_ODD_PART[q]
-        if ell >= least:
-            kind = family
-    elif ell >= 1:
-        for shape, (a, b) in _EXOTIC_SHAPES.items():
-            if q % a == b and _is_exotic(q // a):
-                kind, exotic_m = shape, q // a
-                break
-    if kind is SolutionKind.NOT_SOLUTION:
-        return SolutionClass(kind, ell)
-    if not is_solution(n):
-        raise InternalInconsistencyError(
-            f"{n} matches shape {kind.value} but fails the defining equation"
-        )
-    return SolutionClass(kind, ell, exotic_m)
 
 
 # classify_range checks this many n of its range (all of a shorter one) for
@@ -327,14 +278,18 @@ def _resume(path, search_id, lo, hi, segment_size):
     """(start, hits) of the search search_id on [lo, hi) from the checkpoint
     file at path, or (lo, []) when there is none.  Before any segment is
     sieved it refuses a path that names no file (empty, ending in a
-    separator, or an existing directory) or whose directory cannot take the
-    file, then a checkpoint of another search, progress that is not a segment
-    end of [lo, hi), and a hit list other than the hits of the finished range
-    [lo, done), which _relaxed_tree decides; each message names the file."""
+    separator, or an existing directory), whose temp file is there and not a
+    regular file, or whose directory cannot take the file, then a checkpoint
+    of another search, progress that is not a segment end of [lo, hi), and a
+    hit list other than the hits of the finished range [lo, done), which
+    _relaxed_tree decides; each message names the file."""
     if path is None:
         return lo, []
     if not os.path.basename(path) or os.path.isdir(path):
         raise ValueError(f"checkpoint {path}: names no file")
+    tmp = _checkpoint_temp(path)
+    if os.path.exists(tmp) and not os.path.isfile(tmp):
+        raise ValueError(f"checkpoint {path}: its temp file {tmp} is not a regular file")
     directory = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
         raise ValueError(f"checkpoint {path}: {directory} is not a writable directory")

@@ -1,10 +1,10 @@
 """The equation phi(n) + phi(n + phi(n)) = n in scalar arithmetic: the test
-of one n, the known solution shapes, the members of each family, and the
-structural witness of a solution.
+of one n, the known solution shapes and classify, their one reader, the
+members of each family, and the structural witness of a solution.
 
-Nothing here needs numpy, so orbits and the scalar commands load this
-module without the bulk sieves; diophantine, which classifies and searches
-in bulk, re-exports its public names.
+Nothing here needs numpy, so the package, orbits and the scalar commands
+load this module without the bulk sieves; diophantine, which classifies
+and searches in bulk, imports only the names it reads.
 """
 
 from __future__ import annotations
@@ -52,9 +52,53 @@ _EXOTIC_SHAPES = {SolutionKind.EXOTIC_A: (8, 7), SolutionKind.EXOTIC_B: (6, 5)}
 
 
 def _is_exotic(m):
-    """p = 8m+7 is prime and phi(6m+5) = 4m+4: the scalar reference of
-    diophantine._exotic_segment, its one vectorized form."""
+    """p = 8m+7 is prime and phi(6m+5) = 4m+4: the scalar reference of its
+    two vectorized forms, diophantine._exotic_segment on a range of p and
+    diophantine._exotic_hits on the search tree of companions 6m+5."""
     return is_prime(8 * m + 7) and euler_phi(6 * m + 5) == 4 * m + 4
+
+
+# The family index of classify and classify_range: odd part q -> (kind, least ell).
+_FAMILY_BY_ODD_PART = {q: (kind, least) for kind, (q, least) in FAMILIES.items()}
+
+
+@dataclass(frozen=True)
+class SolutionClass:
+    """Which branch of the solution structure n falls into."""
+
+    kind: SolutionKind
+    ell: int
+    exotic_m: int = None
+
+
+def classify(n):
+    """Match n = 2^ell * q against the known solution shapes.
+
+    Named family tags take precedence over the exotic forms (the known
+    exotic parameters m = 0, 5 reproduce odd parts 7, 5, 47, 35), so the
+    classification is a function of n.  Every positive match is confirmed
+    against the defining equation before it is returned; v2 checks n.
+    """
+    ell = v2(n)
+    q = n >> ell
+    kind = SolutionKind.NOT_SOLUTION
+    exotic_m = None
+    if q in _FAMILY_BY_ODD_PART:
+        family, least = _FAMILY_BY_ODD_PART[q]
+        if ell >= least:
+            kind = family
+    elif ell >= 1:
+        for shape, (a, b) in _EXOTIC_SHAPES.items():
+            if q % a == b and _is_exotic(q // a):
+                kind, exotic_m = shape, q // a
+                break
+    if kind is SolutionKind.NOT_SOLUTION:
+        return SolutionClass(kind, ell)
+    if not is_solution(n):
+        raise InternalInconsistencyError(
+            f"{n} matches shape {kind.value} but fails the defining equation"
+        )
+    return SolutionClass(kind, ell, exotic_m)
 
 
 def family_members(kind, ell_max, m=None):

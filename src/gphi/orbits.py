@@ -132,15 +132,21 @@ def doubling_persistence(n, k0, r):
 def reduce_to_diophantine(n, k_max):
     """Least k <= k_max with m = g_k(n) solving phi(m) + phi(m + phi(m)) = m.
 
-    Returns (k, m) or None.  Such an m is exactly a value with g(g(m)) = 2m:
-    the orbit's r = 2 doubling at k, which _doubling_refusal certifies.
+    Returns (k, m), or None when no g_k(n) with k <= k_max is one.  Such an
+    m is exactly a value with g(g(m)) = 2m: the orbit's r = 2 doubling at
+    k, which _doubling_refusal certifies.  A solution found before the
+    orbit leaves the width is returned; when there is none and the orbit
+    stops short of k_max, NaturalOverflowError is raised.
     """
     _check_natural(n)
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    for k, m in enumerate(iterate_g(n, k_max).values):
+    orbit = iterate_g(n, k_max)
+    for k, m in enumerate(orbit.values):
         if is_solution(m):
             return k, m
+    if orbit.truncated:
+        raise NaturalOverflowError(f"orbit of {n} overflows before k = {len(orbit.values)}")
     return None
 
 

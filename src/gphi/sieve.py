@@ -398,11 +398,16 @@ class SearchCheckpoint:
             raise ValueError("checkpoint hits must be strictly ascending")
 
 
+def _checkpoint_temp(path):
+    """The temp file that write_checkpoint fills and renames over path."""
+    return f"{path}.tmp"
+
+
 def write_checkpoint(path, checkpoint):
     """Write a checkpoint atomically and durably: the temp file is synced,
     renamed over path, and then its directory is synced, so a crash after
     the rename cannot lose the file."""
-    tmp = f"{path}.tmp"
+    tmp = _checkpoint_temp(path)
     with open(tmp, "w") as fh:
         fh.write(f"search_id {checkpoint.search_id}\n")
         fh.write(f"completed {checkpoint.last_completed_hi}\n")

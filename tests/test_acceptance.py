@@ -14,12 +14,8 @@ import pytest
 
 from gphi.arith import euler_phi, lemma_predicate, LemmaKind, v2
 from gphi.cli import main
-from gphi.diophantine import (
-    TraceCase,
-    brute_force_solutions,
-    case_trace,
-    exotic_prime_search,
-)
+from gphi.diophantine import brute_force_solutions, exotic_prime_search
+from gphi.equation import TraceCase, case_trace
 from gphi.orbits import Persistence, detect_relations
 from gphi.sieve import base_primes, sieve_segment
 

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import gphi
-from gphi import arith, cli, diophantine, orbits, sieve
+from gphi import arith, cli, diophantine, equation, orbits, sieve
 from gphi.cli import MAX_JOBS, main, resolve_jobs
-from gphi.diophantine import SolutionClass, SolutionKind
+from gphi.equation import SolutionClass, SolutionKind
 from gphi.sieve import MAX_SIEVE_VALUE
 
 
@@ -207,7 +207,7 @@ class TestVerifyTheorem:
         code, out, err = run(capsys, "solutions", "--limit", str(limit), "--method", "classify")
         records, _ = json_records(out)
         assert (code, err) == (0, "")
-        family_members = {q << ell for q, least in diophantine.FAMILIES.values()
+        family_members = {q << ell for q, least in equation.FAMILIES.values()
                           for ell in range(least, limit.bit_length()) if q << ell <= limit}
         assert [r["n"] for r in records] == sorted(family_members)
 
@@ -356,6 +356,24 @@ class TestSearchExotic:
         assert (code, out) == (2, "")
         assert err == f"error: checkpoint {path}: names no file\n"
         assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
+    # A directory where write_checkpoint puts its temp file is refused before
+    # any segment, with one line naming the checkpoint, and left as it was.
+    def test_checkpoint_temp_file_in_the_way_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("sieved")
+
+        monkeypatch.setattr(diophantine, "_exotic_segment", fail)
+        monkeypatch.setattr(sieve, "_primes_to", fail)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.ckpt.tmp").mkdir()
+        code, out, err = run(
+            capsys, "search-exotic", "--from", "2", "--to", "1000000", "--segment-size", "131072",
+            "--checkpoint", "c.ckpt", "--progress",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: checkpoint c.ckpt: its temp file c.ckpt.tmp is not a regular file\n"
+        assert [(p.name, p.is_dir()) for p in tmp_path.rglob("*")] == [("c.ckpt.tmp", True)]
 
     def test_tampered_checkpoint_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "cp.txt"

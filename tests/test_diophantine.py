@@ -10,26 +10,28 @@ import numpy as np
 import pytest
 import sympy
 
-from gphi import arith, diophantine, sieve
+from gphi import arith, diophantine, equation, sieve
 from gphi.arith import euler_phi, factorize, is_prime, odd_part, v2
 from gphi.diophantine import (
     MAX_EXOTIC_SEGMENT,
     MAX_SEARCH_VALUE,
-    FAMILIES,
     CheckpointMismatchError,
+    brute_force_solutions,
+    classify_range,
+    exotic_prime_search,
+    oracle_comparison,
+    relaxed_search,
+)
+from gphi.equation import (
+    FAMILIES,
     InternalInconsistencyError,
     SolutionClass,
     SolutionKind,
     TraceCase,
-    brute_force_solutions,
     case_trace,
     classify,
-    classify_range,
-    exotic_prime_search,
     family_members,
     is_solution,
-    oracle_comparison,
-    relaxed_search,
 )
 from gphi.sieve import (
     SearchCheckpoint,
@@ -284,6 +286,13 @@ def family_edge_limits(kind):
     return sorted({(q << ell) + d for ell in range(least, (RANGE_TOP // q).bit_length()) for d in (-1, 0, 1)})
 
 
+def patch_shapes(monkeypatch, name, table):
+    """Replace one shape table of equation, which classify reads, and its
+    binding in diophantine, which classify_range reads for its candidates."""
+    for module in (equation, diophantine):
+        monkeypatch.setattr(module, name, table)
+
+
 class TestClassifyRange:
     def test_agrees_with_classify_to_2_15(self, scalar_classes):
         classes = classify_range(RANGE_TOP)
@@ -308,7 +317,7 @@ class TestClassifyRange:
     def test_exotic_branch(self, monkeypatch, limit):
         # Without the family index, the known exotic m = 0, 5 give back
         # the odd parts 7, 47 (shape A) and 5, 35 (shape B).
-        monkeypatch.setattr(diophantine, "_FAMILY_BY_ODD_PART", {})
+        patch_shapes(monkeypatch, "_FAMILY_BY_ODD_PART", {})
         shapes = ((7, SolutionKind.EXOTIC_A, 0), (47, SolutionKind.EXOTIC_A, 5),
                   (5, SolutionKind.EXOTIC_B, 0), (35, SolutionKind.EXOTIC_B, 5))
         expected = {q << ell: SolutionClass(kind, ell, m)
@@ -324,8 +333,8 @@ class TestClassifyRange:
         # phi(q) = (2q + 2)/3, both only at q = 5, which is not 7 mod 8.  Two
         # copies of one shape do, and the first listed wins in classify, which
         # classify_range asks.
-        monkeypatch.setattr(diophantine, "_FAMILY_BY_ODD_PART", {})
-        monkeypatch.setattr(diophantine, "_EXOTIC_SHAPES", {first: (8, 7), second: (8, 7)})
+        patch_shapes(monkeypatch, "_FAMILY_BY_ODD_PART", {})
+        patch_shapes(monkeypatch, "_EXOTIC_SHAPES", {first: (8, 7), second: (8, 7)})
         expected = {14: SolutionClass(first, 1, 0), 28: SolutionClass(first, 2, 0),
                     56: SolutionClass(first, 3, 0), 94: SolutionClass(first, 1, 5)}
         assert classify_range(100) == expected
@@ -336,7 +345,7 @@ class TestClassifyRange:
         # Without the family index only the search tree gives the odd parts
         # 35 and 47 (its hit q = 35, m = 5); the scalar classify still finds
         # 70 and 94.
-        monkeypatch.setattr(diophantine, "_FAMILY_BY_ODD_PART", {})
+        patch_shapes(monkeypatch, "_FAMILY_BY_ODD_PART", {})
         search = diophantine._relaxed_tree
 
         def tree(limit):
@@ -357,7 +366,7 @@ class TestClassifyRange:
     def test_positives_are_confirmed(self, monkeypatch):
         # The family index takes 9 for a family odd part; only the equation,
         # which classify checks, says no.
-        monkeypatch.setitem(diophantine._FAMILY_BY_ODD_PART, 9, (SolutionKind.FAMILY_3, 1))
+        monkeypatch.setitem(equation._FAMILY_BY_ODD_PART, 9, (SolutionKind.FAMILY_3, 1))
         with pytest.raises(InternalInconsistencyError, match="^18 matches shape family_3 but fails the defining equation$"):
             classify_range(20)
 

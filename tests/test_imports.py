@@ -33,15 +33,22 @@ def probe(*argv, openblas=None):
     """(modules, OPENBLAS_NUM_THREADS, threads) at the end of `gphi <argv>`,
     run in a fresh interpreter with OPENBLAS_NUM_THREADS set to openblas or
     unset."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    env.pop("GPHI_JOBS", None)
-    env.pop("OPENBLAS_NUM_THREADS", None)
+    env = fresh_env()
     if openblas is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     modules, setting, threads = json.loads(proc.stderr.splitlines()[-1])
     return set(modules), setting, threads
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports this gphi, with
+    GPHI_JOBS and OPENBLAS_NUM_THREADS unset."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env.pop("GPHI_JOBS", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
 
 
 def modules_after(*argv):
@@ -97,10 +104,10 @@ EXPORTS = {
     "arith": ("Factorization", "LemmaKind", "LemmaVerdict", "NaturalOverflowError", "Orbit",
               "euler_phi", "factorize", "g", "is_prime", "iterate_g", "lemma_predicate",
               "odd_part", "v2"),
-    "equation": ("InternalInconsistencyError", "ProofTrace", "SolutionKind", "TraceCase",
-                 "case_trace", "family_members", "is_solution"),
-    "diophantine": ("ExoticWitness", "SolutionClass", "brute_force_solutions", "classify",
-                    "classify_range", "exotic_prime_search", "relaxed_search"),
+    "equation": ("InternalInconsistencyError", "ProofTrace", "SolutionClass", "SolutionKind",
+                 "TraceCase", "case_trace", "classify", "family_members", "is_solution"),
+    "diophantine": ("ExoticWitness", "brute_force_solutions", "classify_range",
+                    "exotic_prime_search", "relaxed_search"),
     "orbits": ("OrbitRelation", "Persistence", "PersistenceResult", "detect_relations",
                "doubling_persistence", "reduce_to_diophantine", "scan_orbits"),
     "sieve": ("SearchCheckpoint", "SieveSegment", "base_primes", "primes_in_class",
@@ -120,9 +127,35 @@ def test_every_export_is_the_defining_modules_object(module, name):
     namespace = {}
     exec(f"from gphi import {name}", namespace)
     assert namespace[name] is obj
-    # the names the scalar module defines stay importable from diophantine
+    # diophantine re-exports none of the scalar module's names: it holds
+    # only those its code reads
     if module == "equation":
-        assert getattr(gphi.diophantine, name) is obj
+        assert hasattr(gphi.diophantine, name) is (name in DIOPHANTINE_READS)
+
+
+# The names of equation that diophantine's code reads.
+DIOPHANTINE_READS = {"InternalInconsistencyError", "SolutionClass", "SolutionKind", "classify"}
+
+
+# The classifier is scalar: the package serves it, and the class it returns,
+# without loading numpy or the bulk modules, and diophantine, whose
+# classify_range calls it, holds the same function.
+def test_classify_loads_no_numpy():
+    code = "import json, sys, gphi; gphi.classify(70); gphi.SolutionClass; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=fresh_env())
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stdout))
+    assert "gphi.equation" in modules
+    assert under(modules, "numpy") == []
+    assert "gphi.diophantine" not in modules and "gphi.sieve" not in modules
+
+
+def test_classify_is_one_function():
+    import gphi.diophantine
+    import gphi.equation
+
+    assert gphi.classify is gphi.equation.classify is gphi.diophantine.classify
+    assert gphi.SolutionClass is gphi.equation.SolutionClass is gphi.diophantine.SolutionClass
 
 
 def test_bulk_names_are_not_stored_in_the_package():
@@ -243,8 +276,8 @@ def test_the_cli_knows_no_pool():
 
 # The solution-shape rules (the family index's precedence over the exotic
 # shapes, the shapes' order and the class built from them) are spelled once,
-# in diophantine.classify: classify_range asks classify about each candidate
-# and builds no SolutionClass of its own.
+# in equation.classify, next to the shape tables: classify_range asks
+# classify about each candidate and builds no SolutionClass of its own.
 def test_the_shape_rules_have_one_owner():
     import ast
 
@@ -254,6 +287,35 @@ def test_the_shape_rules_have_one_owner():
     called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert "classify" in called
     assert "SolutionClass" not in called
+
+
+# Every name a module of the package imports is read in that module, so no
+# module re-exports another's names; the package root, which exports them,
+# is not checked.  Two imports of diophantine go unread, euler_phi and
+# sieve_segment: perfbench's test_instrument_restores_every_binding reads
+# both through diophantine.
+_UNREAD_IMPORTS = {("diophantine", "euler_phi"), ("diophantine", "sieve_segment")}
+
+
+def test_every_imported_name_is_read():
+    import ast
+
+    paths = sorted(Path(gphi.__file__).parent.glob("*.py"))
+    assert {"diophantine.py", "equation.py"} <= {path.name for path in paths}
+    unread = set()
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread |= {(path.stem, name) for name in imported - read}
+    assert unread <= _UNREAD_IMPORTS
 
 
 # The doubling law's persistence certificate is spelled once, in

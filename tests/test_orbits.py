@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import gphi.arith
 from gphi.arith import NaturalOverflowError, euler_phi, g, iterate_g
-from gphi.diophantine import is_solution
+from gphi.equation import is_solution
 from gphi.orbits import (
     Persistence,
     detect_relations,
@@ -128,6 +128,21 @@ class TestReduceToDiophantine:
     # the reduction answers k = 0 without stepping past the solution.
     def test_solution_at_the_width(self):
         assert reduce_to_diophantine(3 * 2**190, 1) == (0, 3 * 2**190)
+
+    # The orbit 17 * 2^187, 25 * 2^187 leaves the width after k = 1, with no
+    # solution before: the reduction cannot answer None for the steps it
+    # never saw.
+    def test_orbit_cut_short_without_a_solution_overflows(self):
+        n = 17 * 2**187
+        assert iterate_g(n, 5).last_valid_k == 1
+        with pytest.raises(NaturalOverflowError, match=f"^orbit of {n} overflows before k = 2$"):
+            reduce_to_diophantine(n, 5)
+
+    # A solution found before the cut is still the answer.
+    def test_solution_before_the_cut_is_returned(self):
+        n = 3 * 2**189
+        assert iterate_g(n, 5).last_valid_k == 2
+        assert reduce_to_diophantine(n, 5) == (0, n)
 
     def test_equivalence_with_detected_doubling(self):
         # g_{k+2} = 2 g_k appears in the orbit iff the orbit hits a solution
