@@ -273,7 +273,14 @@ def odd_part(n):
     return n >> v2(n)
 
 
-class LemmaKind(Enum):
+class ValueEnum(str, Enum):
+    """The base of gphi's enums: each member is a str equal to its value,
+    so json, csv, str() and f-strings write it as that value."""
+
+    __str__ = str.__str__
+
+
+class LemmaKind(ValueEnum):
     STRICTLY_MORE = "strictly_more"
     EQUAL = "equal"
     NOT_APPLICABLE = "not_applicable"
@@ -292,9 +299,9 @@ def lemma_predicate(n):
     """Compare v2(phi(n)) with v2(n) for n = 2^l * q, l >= 1, q > 1 odd.
 
     Inputs outside that shape (odd n, and powers of two including 1 and 2)
-    get a NotApplicable verdict so range sweeps need no precondition.
+    get a NotApplicable verdict so range sweeps need no precondition; v2
+    checks n.
     """
-    _check_natural(n)
     ell = v2(n)
     two_adic_phi = v2(euler_phi(n))
     if ell == 0 or n >> ell == 1:

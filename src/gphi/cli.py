@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import time
-from enum import Enum
 
 from . import arith, equation, orbits
 from .equation import InternalInconsistencyError, SolutionKind
@@ -53,7 +52,7 @@ def resolve_jobs(jobs):
 def _record(result, **lead):
     """The record of a library result: the keys of lead, then the fields of
     the frozen dataclass result in field order, which is the order its
-    __init__ fills __dict__ in.  Enums stay enums until _emit writes them."""
+    __init__ fills __dict__ in."""
     return {**lead, **vars(result)}
 
 
@@ -77,7 +76,7 @@ def _cmd_verify_theorem(args):
     from . import diophantine
 
     rows = list(diophantine.oracle_comparison(args.limit))
-    records = [{"n": n, "brute": brute, "classified": classified, "kind": cls.kind.value}
+    records = [{"n": n, "brute": brute, "classified": classified, "kind": cls.kind}
                for n, brute, classified, cls in rows if brute != classified]
     notes = [f"solutions={sum(brute for _, brute, _, _ in rows)}", f"mismatches={len(records)}"]
     return records, (1 if records else 0), notes
@@ -123,7 +122,7 @@ def _cmd_scan_orbits(args):
 def _cmd_families(args):
     kinds = [SolutionKind(args.kind)] if args.kind else equation.FAMILIES
     records = [
-        {"kind": kind.value, "ell": arith.v2(n), "n": n}
+        {"kind": kind, "ell": arith.v2(n), "n": n}
         for kind in kinds
         for n in equation.family_members(kind, args.max_exponent, m=args.m)
     ]
@@ -183,6 +182,7 @@ def build_parser():
 
     p = sub.add_parser("families", parents=[common], help="members of the known solution families")
     p.add_argument("--max-exponent", type=int, default=10)
+    # Plain strings: argparse quotes the choices by repr when it refuses one.
     p.add_argument("--kind", choices=[k.value for k in SolutionKind if k is not SolutionKind.NOT_SOLUTION])
     p.add_argument("--m", type=int, default=None, help="parameter m for exotic kinds")
     p.set_defaults(handler=_cmd_families)
@@ -194,30 +194,16 @@ def build_parser():
     return parser
 
 
-def _enum_value(value):
-    if isinstance(value, Enum):
-        return value.value
-    raise TypeError(f"{type(value).__name__} is not a record value")
-
-
-# One encoder for every record, so that its enums are written as their values
-# without the record being copied first.
-_RECORD_JSON = json.JSONEncoder(default=_enum_value)
-
-
 def _emit(records, summary, fmt, out):
     if fmt == "json":
         for record in records:
-            out.write(_RECORD_JSON.encode(record) + "\n")
+            out.write(json.dumps(record) + "\n")
         out.write(json.dumps(summary) + "\n")
     else:
         if records:
             writer = csv.DictWriter(out, fieldnames=list(records[0].keys()))
             writer.writeheader()
-            writer.writerows(
-                {key: v.value if isinstance(v, Enum) else v for key, v in record.items()}
-                for record in records
-            )
+            writer.writerows(records)
         print(json.dumps(summary), file=sys.stderr)
 
 

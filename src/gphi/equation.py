@@ -5,14 +5,17 @@ members of each family, and the structural witness of a solution.
 Nothing here needs numpy, so the package, orbits and the scalar commands
 load this module without the bulk sieves; diophantine, which classifies
 and searches in bulk, imports only the names it reads.
+
+A solution's kind (SolutionKind) and a trace's case (TraceCase) are
+ValueEnums: each member is the string of its value, so records hold them
+as they stand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .arith import NATURAL_BITS, _check_natural, euler_phi, factorize, is_prime, v2
+from .arith import NATURAL_BITS, ValueEnum, _check_natural, euler_phi, factorize, is_prime, v2
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -25,7 +28,7 @@ def is_solution(n):
     return tot + euler_phi(n + tot) == n
 
 
-class SolutionKind(Enum):
+class SolutionKind(ValueEnum):
     NOT_SOLUTION = "not_solution"
     POWER_OF_2 = "power_of_2"
     FAMILY_3 = "family_3"
@@ -130,7 +133,7 @@ def family_members(kind, ell_max, m=None):
     return members
 
 
-class TraceCase(Enum):
+class TraceCase(ValueEnum):
     POWER_OF_2_CHAIN = "power_of_2_chain"
     L2_GT_L1 = "l2_gt_l1"
     L2_EQ_L1 = "l2_eq_l1"

@@ -2,14 +2,16 @@
 g_{k+r}(n) = M * g_k(n), persistence certificates for power-of-2
 multipliers, and the reduction of the r = 2 case to the Diophantine
 equation phi(m) + phi(m + phi(m)) = m.
+
+A relation's persistence is a Persistence, a ValueEnum: each member is the
+string of its value, so records hold it as it stands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .arith import _check_natural, NaturalOverflowError, iterate_g
+from .arith import NaturalOverflowError, ValueEnum, iterate_g
 from .equation import is_solution
 
 DEFAULT_K_MAX = 64
@@ -18,7 +20,7 @@ DEFAULT_R_MAX = 25
 DEFAULT_SCAN_R_MAX = 9
 
 
-class Persistence(Enum):
+class Persistence(ValueEnum):
     # Proven forever only where _doubling_refusal finds no reason to refuse;
     # anything else is claimed only as far as verified.
     PROVEN_FOREVER = "proven_forever"
@@ -57,9 +59,8 @@ def detect_relations(n, k_max=DEFAULT_K_MAX, r_max=DEFAULT_R_MAX, successors=Non
 
     When a shift is a multiple of a smaller detected shift with the matching
     multiplier power, both are reported and the larger carries related_r.
-    successors is passed on to iterate_g.
+    successors is passed on to iterate_g, which checks n.
     """
-    _check_natural(n)
     if not 1 <= r_max <= k_max:
         raise ValueError(f"need k_max >= r_max >= 1, got k_max={k_max} r_max={r_max}")
     values = iterate_g(n, k_max, successors=successors).values
@@ -110,9 +111,9 @@ class PersistenceResult:
 
 def doubling_persistence(n, k0, r):
     """Certify g_{k+r}(n) = 2^s * g_k(n) for all k >= k0, or refuse with the
-    reason of _doubling_refusal, the certificate detect_relations also uses.
+    reason of _doubling_refusal, the certificate detect_relations also uses;
+    iterate_g checks n.
     """
-    _check_natural(n)
     if k0 < 0 or r < 1:
         raise ValueError("need k0 >= 0 and r >= 1")
     orbit = iterate_g(n, k0 + r)
@@ -136,9 +137,8 @@ def reduce_to_diophantine(n, k_max):
     m is exactly a value with g(g(m)) = 2m: the orbit's r = 2 doubling at
     k, which _doubling_refusal certifies.  A solution found before the
     orbit leaves the width is returned; when there is none and the orbit
-    stops short of k_max, NaturalOverflowError is raised.
+    stops short of k_max, NaturalOverflowError is raised.  iterate_g checks n.
     """
-    _check_natural(n)
     if k_max < 1:
         raise ValueError("k_max must be positive")
     orbit = iterate_g(n, k_max)

@@ -71,10 +71,13 @@ class SegmentTooLargeError(ValueError):
 
 
 def base_primes(limit):
-    """All primes <= limit, ascending: a read-only int64 slice of the cache."""
+    """All primes <= limit, ascending: a read-only int64 slice of the cache.
+    The limit is at most isqrt(MAX_SIEVE_VALUE - 1), the largest base prime
+    a sieve of values below MAX_SIEVE_VALUE reads; a build past it would
+    not end in reasonable time or memory."""
     if limit < 2:
         raise SieveRangeError(f"base_primes needs limit >= 2, got {limit}")
-    if limit > MAX_SIEVE_VALUE:
+    if limit > math.isqrt(MAX_SIEVE_VALUE - 1):
         raise SieveRangeError(f"limit {limit} above supported maximum")
     return _primes_to(limit)
 

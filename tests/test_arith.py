@@ -132,6 +132,8 @@ class TestFactorize:
             Factorization(((4, 1),))
         with pytest.raises(ValueError):
             Factorization(((5, 1), (3, 1)))
+        with pytest.raises(ValueError, match="^exponents must be positive$"):
+            Factorization(((2, 0),))
 
 
 class TestEulerPhi:
@@ -205,6 +207,10 @@ class TestMap:
     def test_zero_iterations(self):
         orbit = iterate_g(1, 0)
         assert orbit.values == (1,) and not orbit.truncated
+
+    def test_negative_iterations(self):
+        with pytest.raises(ValueError, match="^k_max must be nonnegative$"):
+            iterate_g(3, -1)
 
     def test_overflow_truncates(self):
         orbit = iterate_g(1 << 191, 5)

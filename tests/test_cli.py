@@ -49,7 +49,7 @@ def factorize_calls(monkeypatch):
 
 def emitted(results):
     """The JSON records the CLI writes for these library results."""
-    return [json.loads(cli._RECORD_JSON.encode(cli._record(result))) for result in results]
+    return [json.loads(json.dumps(cli._record(result))) for result in results]
 
 
 def strip_timing(out):

@@ -66,6 +66,12 @@ def lemma_admits(q, q_min, q_max):
     return Fraction(2, 3) < ratio <= Fraction(2 * q_min + 2, 3 * q_min) * Fraction(257, 256) ** w
 
 
+def kind_id(kind):
+    """The test id of a SolutionKind parameter, SolutionKind.NAME: a member
+    is the string of its value, which pytest would take as the id."""
+    return f"SolutionKind.{kind.name}"
+
+
 _SIEVE_CLASS = sieve._sieve_class
 
 
@@ -243,7 +249,7 @@ class TestClassify:
         assert classify(94).kind is SolutionKind.FAMILY_47
         assert classify(10).kind is SolutionKind.FAMILY_5
 
-    @pytest.mark.parametrize("kind", list(FAMILIES))
+    @pytest.mark.parametrize("kind", list(FAMILIES), ids=kind_id)
     def test_family_starts_at_its_least_ell(self, kind):
         q, least = FAMILIES[kind]
         assert classify(q << least).kind is kind
@@ -308,7 +314,7 @@ class TestClassifyRange:
         with pytest.raises(ValueError, match=f"expected n >= 1, got {limit}"):
             classify_range(limit)
 
-    @pytest.mark.parametrize("kind", list(FAMILIES))
+    @pytest.mark.parametrize("kind", list(FAMILIES), ids=kind_id)
     def test_agrees_with_classify_at_family_members(self, kind, scalar_classes):
         for limit in family_edge_limits(kind):
             assert classify_range(limit) == {n: c for n, c in scalar_classes.items() if n <= limit}, limit
@@ -327,7 +333,7 @@ class TestClassifyRange:
             assert classify(n) == cls
 
     @pytest.mark.parametrize("first,second", [(SolutionKind.EXOTIC_A, SolutionKind.EXOTIC_B),
-                                              (SolutionKind.EXOTIC_B, SolutionKind.EXOTIC_A)])
+                                              (SolutionKind.EXOTIC_B, SolutionKind.EXOTIC_A)], ids=kind_id)
     def test_shapes_are_tried_in_classify_order(self, monkeypatch, first, second):
         # The real shapes never share an odd part: A needs q prime and B needs
         # phi(q) = (2q + 2)/3, both only at q = 5, which is not 7 mod 8.  Two
@@ -930,7 +936,7 @@ class TestFamilyMembers:
         assert family_members(SolutionKind.EXOTIC_A, 3, m=5) == [94, 188, 376]
         assert family_members(SolutionKind.EXOTIC_B, 3, m=0) == [10, 20, 40]
 
-    @pytest.mark.parametrize("kind", list(FAMILIES))
+    @pytest.mark.parametrize("kind", list(FAMILIES), ids=kind_id)
     def test_named_kinds_refuse_m(self, kind):
         with pytest.raises(ValueError, match="exotic kinds only"):
             family_members(kind, 2, m=5)
@@ -946,6 +952,10 @@ class TestFamilyMembers:
     def test_not_solution_rejected(self):
         with pytest.raises(ValueError):
             family_members(SolutionKind.NOT_SOLUTION, 3)
+
+    def test_ell_max_below_1_rejected(self):
+        with pytest.raises(ValueError, match="^ell_max must be positive$"):
+            family_members(SolutionKind.FAMILY_3, 0)
 
     def test_exotic_sufficiency(self):
         # both 2^l(8m+7) and 2^l(6m+5) solve the equation for known m

@@ -332,3 +332,35 @@ def test_the_persistence_certificate_has_one_owner():
         assert "_doubling_refusal" in called, function.__name__
     assert not hasattr(gphi.orbits, "_is_power_of_two")
     assert not hasattr(gphi.orbits, "g")
+
+
+# Every enum of the package is a ValueEnum: its members are strs equal to,
+# and hashing as, their values, so json, csv, str() and f-strings all write a
+# member as its value. The CLI writes records as they stand, so it imports
+# no enum to convert them with.
+def test_every_enum_is_written_as_its_value():
+    import ast
+    import csv
+    import enum
+    import importlib
+    import io
+
+    from gphi.arith import ValueEnum
+
+    paths = sorted(Path(gphi.__file__).parent.glob("*.py"))
+    modules = [importlib.import_module(f"gphi.{path.stem}") for path in paths if path.stem != "__init__"]
+    enums = {value for module in modules for value in vars(module).values()
+             if isinstance(value, type) and issubclass(value, enum.Enum) and value.__module__ == module.__name__}
+    assert {"LemmaKind", "SolutionKind", "TraceCase", "Persistence"} <= {cls.__name__ for cls in enums}
+    for cls in enums:
+        assert issubclass(cls, ValueEnum), cls
+        for member in cls:
+            cell = io.StringIO()
+            csv.DictWriter(cell, ["cell"], lineterminator="\n").writerow({"cell": member})
+            assert member == member.value and hash(member) == hash(member.value), member
+            assert json.dumps(member) == json.dumps(member.value), member
+            assert str(member) == f"{member}" == cell.getvalue()[:-1] == member.value, member
+    tree = ast.parse(inspect.getsource(gphi.cli))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert "enum" not in imported

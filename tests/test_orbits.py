@@ -19,6 +19,24 @@ def relation(rels, r):
     return matches[0]
 
 
+# iterate_g alone checks n for the orbit functions, as v2 does for
+# lemma_predicate; each raises the check's exception with its message.
+@pytest.mark.parametrize("call", [
+    lambda n: detect_relations(n, 8, 2),
+    lambda n: doubling_persistence(n, 0, 2),
+    lambda n: reduce_to_diophantine(n, 5),
+    gphi.arith.lemma_predicate,
+], ids=["detect_relations", "doubling_persistence", "reduce_to_diophantine", "lemma_predicate"])
+@pytest.mark.parametrize("n, error, message", [
+    (0, ValueError, "expected n >= 1, got 0"),
+    (True, TypeError, "expected an integer, got bool"),
+])
+def test_bad_n_message(call, n, error, message):
+    with pytest.raises(error) as info:
+        call(n)
+    assert str(info.value) == message
+
+
 class TestDetectRelations:
     def test_10_doubles_forever(self):
         rel = relation(detect_relations(10, 64, 2), 2)
@@ -88,6 +106,10 @@ class TestDoublingPersistence:
         with pytest.raises(NaturalOverflowError):
             doubling_persistence(1 << 191, 3, 2)
 
+    def test_bad_shift(self):
+        with pytest.raises(ValueError, match="^need k0 >= 0 and r >= 1$"):
+            doubling_persistence(10, -1, 2)
+
     # The one certificate from both sides: on every relation of a scan,
     # detect_relations marks it proven exactly when doubling_persistence
     # certifies it, and a proven relation holds on the whole computed orbit
@@ -123,6 +145,10 @@ class TestReduceToDiophantine:
     def test_orbit_of_1(self):
         # 1 -> 2 -> 3 -> 5 -> 9 -> 15: the oracle rejects every one
         assert reduce_to_diophantine(1, 5) is None
+
+    def test_k_max_below_1(self):
+        with pytest.raises(ValueError, match="^k_max must be positive$"):
+            reduce_to_diophantine(10, 0)
 
     # 3 * 2^190 solves the equation, and g applied to it leaves the width:
     # the reduction answers k = 0 without stepping past the solution.

@@ -49,6 +49,17 @@ class TestBasePrimes:
         with pytest.raises(SieveRangeError):
             base_primes(1)
 
+    # No sieve of values below MAX_SIEVE_VALUE reads a base prime past
+    # isqrt(MAX_SIEVE_VALUE - 1) = 2^31 - 1, so a larger limit is refused
+    # before any build starts (the stub stands in for the build).
+    def test_refuses_limits_past_the_largest_root(self, monkeypatch):
+        assert math.isqrt(sieve.MAX_SIEVE_VALUE - 1) == 2 ** 31 - 1
+        monkeypatch.setattr(sieve, "_primes_to", lambda limit: limit)
+        assert base_primes(2 ** 31 - 1) == 2 ** 31 - 1
+        for limit in (2 ** 31, 2 ** 33, sieve.MAX_SIEVE_VALUE):
+            with pytest.raises(SieveRangeError, match=f"^limit {limit} above supported maximum$"):
+                base_primes(limit)
+
     def test_matches_sympy_for_every_limit(self):
         primes = list(sympy.primerange(2, 5001))
         for limit in range(2, 5001):
@@ -152,6 +163,10 @@ class TestSieveSegment:
     def test_range_underflow(self):
         with pytest.raises(SieveRangeError):
             sieve_segment(1, 10)
+
+    def test_range_end_past_the_int64_ceiling(self):
+        with pytest.raises(SieveRangeError, match=f"^range end {2 ** 62 + 1} above supported maximum$"):
+            sieve_segment(2 ** 62 - 10, 2 ** 62 + 1)
 
     def test_segment_too_large(self):
         with pytest.raises(SegmentTooLargeError):
@@ -265,6 +280,10 @@ class TestTotientProgression:
     def test_requires_coprime_class(self):
         with pytest.raises(ValueError):
             totient_progression(2, 100, 3, 6)
+
+    def test_rejects_a_range_below_1(self):
+        with pytest.raises(SieveRangeError, match=r"^bad progression range \[0, 10\)$"):
+            totient_progression(0, 10, 0, 1)
 
     def test_empty_window(self):
         # no value congruent to 5 mod 6 inside [6, 10)
